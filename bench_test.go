@@ -7,10 +7,12 @@ package scans_test
 // `go test -bench` regenerates the numbers.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"scans"
@@ -346,10 +348,10 @@ func BenchmarkAblationExclusiveCheck(b *testing.B) {
 // claim on its acceptance workload: K=1000 requests of n=256 elements
 // each. "sequential" serves them one at a time (a single closed-loop
 // client, so every request is its own dispatch and kernel pass);
-// "fused" submits them all asynchronously so the batcher coalesces them
-// into a handful of segmented kernel passes. "direct" is the bare
-// serial kernel loop with no service at all — the floor that any
-// serving layer's overhead is measured against. EXPERIMENTS.md records
+// "fused" submits them all at once from K goroutines so the batcher
+// coalesces them into a handful of segmented kernel passes. "direct" is
+// the bare serial kernel loop with no service at all — the floor that
+// any serving layer's overhead is measured against. EXPERIMENTS.md records
 // the numbers.
 func BenchmarkServeFusedVsSequential(b *testing.B) {
 	const K, n = 1000, 256
@@ -373,6 +375,8 @@ func BenchmarkServeFusedVsSequential(b *testing.B) {
 		}
 	})
 
+	ctx := context.Background()
+
 	b.Run("sequential", func(b *testing.B) {
 		s := serve.New(serve.Config{QueueLimit: 2 * K})
 		defer s.Close()
@@ -380,7 +384,7 @@ func BenchmarkServeFusedVsSequential(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < K; k++ {
-				if _, err := s.Submit(spec, data[k]); err != nil {
+				if _, err := s.SubmitCtx(ctx, spec, data[k]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,22 +394,20 @@ func BenchmarkServeFusedVsSequential(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		s := serve.New(serve.Config{QueueLimit: 2 * K})
 		defer s.Close()
-		futures := make([]*serve.Future, K)
 		b.SetBytes(int64(K * n * 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			wg.Add(K)
 			for k := 0; k < K; k++ {
-				f, err := s.SubmitAsync(spec, data[k])
-				if err != nil {
-					b.Fatal(err)
-				}
-				futures[k] = f
+				go func(k int) {
+					defer wg.Done()
+					if _, err := s.SubmitCtx(ctx, spec, data[k]); err != nil {
+						b.Error(err)
+					}
+				}(k)
 			}
-			for _, f := range futures {
-				if _, err := f.Wait(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			wg.Wait()
 		}
 		b.StopTimer()
 		st := s.Stats()

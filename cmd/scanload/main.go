@@ -145,7 +145,7 @@ func (o *outcomes) counts() map[string]uint64 {
 		"success": o.success.Load(), "overloaded": o.overloaded.Load(),
 		"shed": o.shed.Load(), "deadline": o.deadline.Load(),
 		"internal": o.internal.Load(), "bad_request": o.badReq.Load(),
-		"bad_op": o.badOp.Load(),
+		"bad_op":       o.badOp.Load(),
 		"shard_failed": o.shardFailed.Load(), "lost": o.lost.Load(),
 		"retries": o.retries.Load(), "redials": o.redials.Load(),
 		"resumed": o.resumed.Load(), "failed_over": o.failedOver.Load(),
@@ -328,8 +328,8 @@ func (l *latRec) percentiles(ps ...int) []float64 {
 // outcome tallies, and the arena gauges showing what the pools
 // absorbed. EXPERIMENTS.md documents the fields.
 type benchReport struct {
-	Mode             string            `json:"mode"`
-	Wire             string            `json:"wire"`
+	Mode string `json:"mode"`
+	Wire string `json:"wire"`
 	// Op is the scan operator the phase drove ("sum", "user:gcd", or a
 	// comma list for mixed-op runs), so a native-vs-VM sweep yields
 	// distinguishable rows.
@@ -338,22 +338,22 @@ type benchReport struct {
 	// measured under; VMDispatch records the combine-VM dispatch mode
 	// ("vector" or "scalar") applied to the servers the phase stood up
 	// (for -addr it echoes the flag — set it to match the remote scansd).
-	Gomaxprocs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	VMDispatch string `json:"vm_dispatch"`
-	Requests         int               `json:"requests"`
-	Clients          int               `json:"clients"`
-	ElemsPerRequest  int               `json:"elems_per_request"`
-	ElapsedSeconds   float64           `json:"elapsed_seconds"`
-	RequestsPerSec   float64           `json:"requests_per_sec"`
-	ElemsPerSec      float64           `json:"elems_per_sec"`
-	P50LatencyMs     float64           `json:"p50_latency_ms"`
-	P99LatencyMs     float64           `json:"p99_latency_ms"`
-	AllocsPerRequest float64           `json:"allocs_per_request"`
-	AllocBytesPerReq float64           `json:"alloc_bytes_per_request"`
-	ArenaBytesPooled uint64            `json:"arena_bytes_pooled"`
-	ArenaMisses      uint64            `json:"arena_misses"`
-	FusionSpeedup    float64           `json:"fusion_speedup,omitempty"`
+	Gomaxprocs       int     `json:"gomaxprocs"`
+	NumCPU           int     `json:"num_cpu"`
+	VMDispatch       string  `json:"vm_dispatch"`
+	Requests         int     `json:"requests"`
+	Clients          int     `json:"clients"`
+	ElemsPerRequest  int     `json:"elems_per_request"`
+	ElapsedSeconds   float64 `json:"elapsed_seconds"`
+	RequestsPerSec   float64 `json:"requests_per_sec"`
+	ElemsPerSec      float64 `json:"elems_per_sec"`
+	P50LatencyMs     float64 `json:"p50_latency_ms"`
+	P99LatencyMs     float64 `json:"p99_latency_ms"`
+	AllocsPerRequest float64 `json:"allocs_per_request"`
+	AllocBytesPerReq float64 `json:"alloc_bytes_per_request"`
+	ArenaBytesPooled uint64  `json:"arena_bytes_pooled"`
+	ArenaMisses      uint64  `json:"arena_misses"`
+	FusionSpeedup    float64 `json:"fusion_speedup,omitempty"`
 	// FailoverGapMs (failover mode) is the time from killing the primary
 	// coordinator to the first request completed via the standby — the
 	// client-observed outage window.
@@ -707,7 +707,7 @@ func driveRemote(addr, proto string, clients, requests, n int, ops []opSpec, kin
 	timeout time.Duration, policy serve.RetryPolicy, outs []*outcomes, stream bool, chunk int) (time.Duration, error) {
 	conns := make([]*serve.Client, clients)
 	for i := range conns {
-		c, err := serve.DialProto(addr, proto)
+		c, err := serve.DialMaxLineProto(addr, serve.DefaultMaxLineBytes, proto)
 		if err != nil {
 			return 0, err
 		}
@@ -764,7 +764,7 @@ func driveRemote(addr, proto string, clients, requests, n int, ops []opSpec, kin
 					if err != nil && isConnError(err) {
 						// Unknown fate: the conn died. Redial so the
 						// next attempt has a live connection.
-						if fresh, derr := serve.DialProto(addr, proto); derr == nil {
+						if fresh, derr := serve.DialMaxLineProto(addr, serve.DefaultMaxLineBytes, proto); derr == nil {
 							conns[c].Close()
 							conns[c] = fresh
 							outs[oi].redials.Add(1)

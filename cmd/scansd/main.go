@@ -15,10 +15,9 @@
 // preamble: payload vectors travel as raw little-endian words with no
 // per-element parsing, and any number of requests multiplex in flight
 // on one connection. The server answers the preamble in kind and
-// speaks binary for the rest of the connection; legacy clients that
-// never send it get newline-JSON exactly as before. serve.DialBin (and
-// scanload -proto bin) speak it; a binary-first client degrades to
-// JSON per connection against a pre-binwire server.
+// speaks binary for the rest of the connection; clients that never send
+// it get newline-JSON. serve.DialBin (and scanload -proto bin) speak
+// it.
 //
 // Error responses carry a machine-readable "code" ("overloaded",
 // "shed", "deadline", "internal", ...) so clients can branch retry vs
@@ -108,7 +107,7 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 0, "coordinator: duplicate a slow shard on another worker after this long (0 = off)")
 		ejectAfter  = flag.Int("eject-after", 3, "coordinator: eject a worker after this many consecutive connection failures")
 		probeEvery  = flag.Duration("probe-interval", time.Second, "coordinator: probe ejected workers this often")
-		workerProto = flag.String("worker-proto", serve.ProtoBin, "coordinator: wire protocol to workers (bin or json; bin degrades per connection against pre-binwire workers)")
+		workerProto = flag.String("worker-proto", serve.ProtoBin, "coordinator: wire protocol to workers (bin or json)")
 		dataPlane   = flag.String("data-plane", cluster.DataPlaneStar, "coordinator: carry data plane (star = coordinator pre-seeds pieces, exchange = workers exchange block sums among themselves; exchange falls back to star per scan on any peer failure)")
 		beatTTL     = flag.Duration("heartbeat-ttl", 2*time.Second, "coordinator: eject announced workers silent this long")
 		weightFloor = flag.Float64("weight-floor", 0.1, "coordinator: adaptive weight floor as a fraction of a worker's base weight (0..1]")
@@ -129,7 +128,7 @@ func main() {
 		maxStream = flag.Int("max-streams", 64, "per-connection open streaming session cap (-1 = disable streaming)")
 		streamTTL = flag.Duration("stream-ttl", 2*time.Minute, "expire streaming sessions idle this long (-1s = never)")
 		opCap     = flag.Int("op-cap", 0, "per-tenant cap on registered user combine ops (0 = default)")
-	chaosSpec = flag.String("chaos", "", "arm fault points: name:prob[:duration],... (see package doc)")
+		chaosSpec = flag.String("chaos", "", "arm fault points: name:prob[:duration],... (see package doc)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
 		xchgRound = flag.Duration("xchg-round-timeout", 2*time.Second, "worker: per-round deadline for the exchange data plane's carry rounds")
 		vmDisp    = flag.String("vm-dispatch", serve.VMDispatchVector, "user combine-op execution: vector (lane-blocked engine + native promotion) or scalar (per-element interpreter)")

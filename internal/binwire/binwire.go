@@ -13,10 +13,9 @@
 // bytes after connect are the Magic preamble ("\x00bin/1\n" — the
 // leading NUL can never begin a JSON line), the server answers with the
 // same bytes, and both sides switch to frames. Anything else falls
-// through to the legacy newline-JSON protocol, so old clients keep
-// working against new servers and vice versa (a legacy server answers
-// the preamble with a bad_json error line, which a binary client
-// recognizes and degrades on).
+// through to the newline-JSON protocol, so JSON clients need no
+// preamble. A binary dial that gets any answer other than the echo
+// fails; it never degrades to JSON.
 //
 // Frame layout (everything little-endian):
 //
@@ -34,7 +33,6 @@
 //	FHeartbeat   u64 id | u64 weight bits | u32 maxLine | u8 wproto |
 //	             u16 addrLen | addr
 //	FStreamResume u64 id | u64 stream | u64 acked | u8 tokLen | token
-//	FStreamOpen2 (same body as FStreamOpen; requests an FAck answer)
 //	FScanXchg    u64 id | u8 op | u8 kind | u8 dir | u64 timeout_ms |
 //	             u16 tenantLen | tenant | u64 group | u32 rank | u32 k |
 //	             k × (u16 addrLen | addr) | u8 head | u8 seeded |
@@ -44,7 +42,7 @@
 //	FRegisterOp  u64 id | u16 tenantLen | tenant | u16 nameLen | name |
 //	             u32 srcLen | source
 //
-// When the op byte of FScan / FStreamOpen / FStreamOpen2 / FScanXchg is
+// When the op byte of FScan / FStreamOpen / FScanXchg is
 // OpUser, the fixed enum bytes are followed immediately by the user-op
 // fields `u16 nameLen | name | u64 hash` (hash 0 = unpinned). They sit
 // BEFORE the trailing element array — the array must exactly end the
@@ -97,7 +95,8 @@ const Magic = "\x00bin/1\n"
 const (
 	// FScan is a one-shot scan request.
 	FScan = 0x01
-	// FStreamOpen opens a streaming session.
+	// FStreamOpen opens a streaming session. Answered with FAck carrying
+	// the resume token and the flow-control window.
 	FStreamOpen = 0x02
 	// FStreamChunk pushes one chunk through an open stream.
 	FStreamChunk = 0x03
@@ -112,12 +111,6 @@ const (
 	// connection (or coordinator) death. Answered with FAck carrying the
 	// 1-based index of the next chunk the server expects.
 	FStreamResume = 0x06
-	// FStreamOpen2 is FStreamOpen from a client that understands FAck:
-	// the server acks it with FAck (resume token + flow-control window)
-	// instead of an empty FResult. A pre-FAck server rejects the unknown
-	// type with a payload-level bad_frame — the connection survives and
-	// the client falls back to FStreamOpen.
-	FStreamOpen2 = 0x07
 	// FScanXchg is a one-shot scan of one exchange-mode piece: the raw
 	// un-seeded segment plus the piece's rank in the peer ring. The
 	// worker folds the segment, runs the hypercube carry exchange with
@@ -136,7 +129,7 @@ const (
 	// bad_request against a server with no registry).
 	FRegisterOp = 0x0A
 	// FResult is a successful int64 result (also the empty ack of a
-	// stream open or an empty scan).
+	// heartbeat, a carry exchange, or an empty scan).
 	FResult = 0x81
 	// FFloatResult is a successful float64 result (raw bit payload).
 	FFloatResult = 0x82
@@ -145,9 +138,9 @@ const (
 	// FError is a structured error: a machine code plus a message,
 	// mirroring the JSON protocol's error/code fields.
 	FError = 0x84
-	// FAck is the extended stream acknowledgement (open2/resume): the
-	// resume token, the flow-control window (how many chunks the client
-	// may hold in flight), and — for resumes — the 1-based index of the
+	// FAck is the stream acknowledgement (open/resume): the resume
+	// token, the flow-control window (how many chunks the client may
+	// hold in flight), and — for resumes — the 1-based index of the
 	// next chunk the server expects (0 means "not a resume").
 	FAck = 0x85
 	// FOpAck acknowledges an FRegisterOp with the registration's content
@@ -156,7 +149,7 @@ const (
 )
 
 // OpUser is the op-byte value marking a user combine op in
-// FScan/FStreamOpen/FStreamOpen2/FScanXchg. It is the only op byte that
+// FScan/FStreamOpen/FScanXchg. It is the only op byte that
 // changes a frame's layout: the user-op fields (name + pinned hash)
 // follow the fixed enum bytes. Decoders surface the name as the
 // "user:<name>" wire string, so an unknown or empty name is rejected
@@ -475,29 +468,12 @@ func AppendStreamResume(dst []byte, id, stream, acked uint64, token string) []by
 	return dst
 }
 
-// AppendStreamOpen2 encodes an FStreamOpen2 request frame — identical
-// body to FStreamOpen, but asks the server to answer with FAck.
-func AppendStreamOpen2(dst []byte, id, stream uint64, op, kind, dir, elem byte) []byte {
-	start := len(dst)
-	dst = appendFrameHeader(dst)
-	dst = append(dst, FStreamOpen2)
-	dst = le.AppendUint64(dst, id)
-	dst = le.AppendUint64(dst, stream)
-	dst = append(dst, op, kind, dir, elem)
-	patchFrameLen(dst[start:])
-	return dst
-}
-
 // AppendStreamOpenUser encodes a stream-open request frame for a user
-// combine op. open2 selects FStreamOpen2 (FAck answer) over FStreamOpen.
-func AppendStreamOpenUser(dst []byte, id, stream uint64, kind, dir byte, name string, hash uint64, open2 bool) []byte {
-	typ := byte(FStreamOpen)
-	if open2 {
-		typ = FStreamOpen2
-	}
+// combine op.
+func AppendStreamOpenUser(dst []byte, id, stream uint64, kind, dir byte, name string, hash uint64) []byte {
 	start := len(dst)
 	dst = appendFrameHeader(dst)
-	dst = append(dst, typ)
+	dst = append(dst, FStreamOpen)
 	dst = le.AppendUint64(dst, id)
 	dst = le.AppendUint64(dst, stream)
 	dst = append(dst, OpUser, kind, dir, ElemInt64)
@@ -868,7 +844,7 @@ func ParseRequest(payload []byte) (Request, error) {
 		} else {
 			req.Data = r.ints(n)
 		}
-	case FStreamOpen, FStreamOpen2:
+	case FStreamOpen:
 		req.ID = r.u64()
 		req.Stream = r.u64()
 		req.Op = r.u8()

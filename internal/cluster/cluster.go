@@ -82,11 +82,10 @@ type Config struct {
 	// shard payloads as raw little-endian words — no per-element
 	// formatting on the way out, no per-element parsing on the way back
 	// — which is where a coordinator spends most of its CPU at large n.
-	// A ProtoBin dial degrades per connection against a pre-binwire
-	// worker, so a mixed-generation fleet still works. The piece-size
-	// clamp stays at JSON's 21-bytes-per-element worst case either way:
-	// conservative for binary, but it keeps pieces response-safe even on
-	// a connection that degraded to JSON mid-fleet.
+	// A ProtoBin dial to a worker without binwire fails (it never
+	// degrades to JSON). The piece-size clamp stays at JSON's
+	// 21-bytes-per-element worst case only because ProtoJSON is still
+	// selectable here; it is conservative for binary.
 	Proto string
 	// DataPlane selects how per-piece carry seeds are computed:
 	//
@@ -797,7 +796,7 @@ func (c *Coordinator) attemptOn(ctx context.Context, spec serve.Spec, payload []
 			}
 		}
 	} else {
-		res, err = cli.ScanTenantCtx(ctx, spec.Op.String(), spec.Kind.String(), spec.Dir.String(), tenant, payload)
+		res, err = cli.ScanPinned(ctx, spec.Op.String(), spec.Kind.String(), spec.Dir.String(), tenant, 0, payload)
 	}
 	switch {
 	case err == nil:

@@ -227,6 +227,24 @@ func TestClusterFrontEnd(t *testing.T) {
 	if !reflect.DeepEqual(sgot, swant) {
 		t.Fatalf("wire stream scan diverges")
 	}
+	// Over the binary codec the one stream-open frame is acked with the
+	// flow-control window and, the coordinator's sessions being
+	// resumable, a resume token.
+	bcli, err := serve.DialBin(ns.Addr())
+	if err != nil {
+		t.Fatalf("DialBin: %v", err)
+	}
+	defer bcli.Close()
+	bst, err := bcli.OpenStream(ctx, "sum", "inclusive", "forward")
+	if err != nil {
+		t.Fatalf("binary OpenStream: %v", err)
+	}
+	if bst.Window() != serve.StreamWindow || bst.ResumeToken() == "" {
+		t.Fatalf("binary open ack: window %d token %q, want %d and a token", bst.Window(), bst.ResumeToken(), serve.StreamWindow)
+	}
+	if _, err := bst.Close(ctx); err != nil {
+		t.Fatalf("binary stream Close: %v", err)
+	}
 	cst := coord.Stats()
 	if cst.StreamsOpened == 0 || cst.StreamsActive != 0 {
 		t.Fatalf("coordinator stream ledger: %v", cst)

@@ -57,8 +57,8 @@ type sessionRecord struct {
 	spec   serve.Spec
 	tenant string
 
-	seq      uint64 // chunks applied
-	carry    int64  // carry after chunk seq
+	seq      uint64       // chunks applied
+	carry    int64        // carry after chunk seq
 	ring     []carryEntry // ascending seq, ends at (seq, carry)
 	owner    *coordStream
 	deadline time.Time // expiry while detached; zero while owned

@@ -136,7 +136,7 @@ func TestRunawayLoopRejectedByBudget(t *testing.T) {
 
 func TestStackFaultsRejected(t *testing.T) {
 	for _, src := range []string{
-		".width 1\n.identity 0\nadd\n",            // underflow
+		".width 1\n.identity 0\nadd\n",                        // underflow
 		".width 1\n.identity 0\narga 0\n\targa 0\nadd\ndup\n", // leaves 2 values
 	} {
 		p, err := Parse(src)

@@ -20,17 +20,15 @@ import (
 // request's payload becomes a scan.View — {Dst, Src, Carry, Seeded} —
 // and the view kernels run the blocked parallel pass directly over the
 // request-owned buffers, stitching per-view carries exactly as Figure
-// 10's block sums stitch blocks. Compared to the flatten path this PR
-// replaced (kept below as runGroupFlatten for benchmarking), the fused
-// src/flags staging copies and their allocations are gone; the only
-// per-request buffer is the result the caller receives, and that comes
-// from the arena.
+// 10's block sums stitch blocks. There are no fused src/flags staging
+// copies; the only per-request buffer is the result the caller
+// receives, and that comes from the arena.
 //
 // Each group's kernel pass runs behind a recover barrier: a panicking
 // kernel (or an armed fault.KernelPanic point) fails that group's
 // futures with ErrInternal and the other groups — and the server —
 // carry on.
-func (s *Server) runBatch(sc *execScratch, batch []*Future) {
+func (s *Server) runBatch(sc *execScratch, batch []*future) {
 	// Group while preserving arrival order within each group. The
 	// scratch map and order slice are owned by this executor and reused
 	// batch to batch; per-spec slices keep their capacity across resets.
@@ -57,7 +55,7 @@ func (s *Server) runBatch(sc *execScratch, batch []*Future) {
 // kernels. Hoisting these out of runBatch keeps steady-state batches
 // allocation-free.
 type execScratch struct {
-	groups map[Spec][]*Future
+	groups map[Spec][]*future
 	order  []Spec
 	views  []scan.View[int64]
 	// vec is the lane-blocked engine's register scratch, created on the
@@ -67,7 +65,7 @@ type execScratch struct {
 }
 
 func newExecScratch() *execScratch {
-	return &execScratch{groups: make(map[Spec][]*Future, 8)}
+	return &execScratch{groups: make(map[Spec][]*future, 8)}
 }
 
 // runGroupSafe wraps one group's kernel pass in a recover barrier so a
@@ -75,7 +73,7 @@ func newExecScratch() *execScratch {
 // staged in the scratch views go back to the arena — none were
 // delivered, because the scatter loop only runs after the whole kernel
 // pass succeeds.
-func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*Future) (elems int) {
+func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*future) (elems int) {
 	defer func() {
 		if r := recover(); r != nil {
 			for i := range sc.views {
@@ -86,22 +84,19 @@ func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*Future) (elems
 			s.failBatch(reqs, r)
 		}
 	}()
-	if s.cfg.legacyFlatten {
-		return s.runGroupFlatten(spec, reqs)
-	}
 	return s.runGroup(sc, spec, reqs)
 }
 
 // runGroup fuses one Spec's requests into a single view-kernel pass and
 // scatters the results. Returns the number of fused elements.
 //
-// Carry-seeded requests (stream chunks, Future.seeded) set the view's
+// Carry-seeded requests (stream chunks, future.seeded) set the view's
 // Carry/Seeded fields; the view kernels fold the carry in algebraically
-// at the segment head (or tail, for backward scans), which is exactly
-// equivalent to the old path's injected phantom element — without the
-// extra slot. Streams are forward-only (OpenStream rejects Backward),
-// so a seeded future never reaches a backward kernel.
-func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*Future) int {
+// at the segment head (or tail, for backward scans), so a seeded
+// request occupies no slot beyond its own payload. Streams are
+// forward-only (OpenStream rejects Backward), so a seeded future never
+// reaches a backward kernel.
+func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*future) int {
 	// Chaos hooks: a slow kernel stalls here (inside the executor, so
 	// queue-age shedding and deadline drops see realistic pressure); a
 	// kernel panic fires past this point and is caught by runGroupSafe.
@@ -121,10 +116,10 @@ func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*Future) int {
 // native kernel pass under kspec, and scatters the results. kspec may
 // differ from the futures' own Spec: promoted user ops run here under
 // the builtin kernel their program is structurally equal to.
-func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*Future) (n, served int) {
+func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (n, served int) {
 	sc.views = sc.views[:0]
 	for _, f := range reqs {
-		n += f.nelems()
+		n += len(f.data)
 		sc.views = append(sc.views, scan.View[int64]{
 			Dst:    arena.GetInt64s(len(f.data)),
 			Src:    f.data,
@@ -194,7 +189,7 @@ func promotedOp(reg *combine.Registered) (Op, bool) {
 // only its own future; the rest of the group is served normally.
 // Nothing here panics on VM errors, so a budget blowout never poisons
 // the batch.
-func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*Future) int {
+func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) int {
 	reg := spec.reg
 	if reg == nil {
 		panic("serve: runUserGroup: user op " + spec.User + " reached the executor unbound")
@@ -219,7 +214,7 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*Future) int {
 	w := reg.Width()
 	n, served := 0, 0
 	for _, f := range reqs {
-		n += f.nelems()
+		n += len(f.data)
 		dst := arena.GetInt64s(len(f.data))
 		var err error
 		if vp != nil && len(f.data)/w >= combine.MinVecTuples {
@@ -337,84 +332,5 @@ func runMonoidViews[O scan.Op[int64]](op O, spec Spec, views []scan.View[int64],
 		scan.SegScanViewsExclusiveBackward(op, views, workers)
 	default:
 		scan.SegScanViewsInclusiveBackward(op, views, workers)
-	}
-}
-
-// runGroupFlatten is the pre-zero-copy group path, kept verbatim as the
-// benchmark baseline (Config.legacyFlatten, in-process benchmarks only
-// — its results are NOT arena-backed, so it must never serve the TCP
-// front end, whose handlers return every result to the arena): build
-// one flat vector + segment-head flags per group, run the flat
-// segmented kernel, and hand each request a disjoint subslice of the
-// group's output.
-func (s *Server) runGroupFlatten(spec Spec, reqs []*Future) int {
-	s.fpSlow.Sleep()
-	if s.fpPanic.Fire() {
-		panic("fault: injected kernel panic")
-	}
-	n := 0
-	for _, f := range reqs {
-		n += f.nelems()
-	}
-	src := make([]int64, n)
-	flags := make([]bool, n)
-	pos := 0
-	for _, f := range reqs {
-		flags[pos] = true
-		if f.seeded {
-			src[pos] = f.carry
-			pos++
-		}
-		copy(src[pos:], f.data)
-		pos += len(f.data)
-	}
-	// One kernel pass for the whole group. dst aliases src: every
-	// kernel in internal/scan supports in-place operation, and the
-	// fused source is dead after the pass.
-	dst := src
-	runSegmented(spec, dst, src, flags, s.cfg.Workers)
-	pos = 0
-	served := 0
-	for _, f := range reqs {
-		if f.seeded {
-			pos++ // skip the injected carry slot
-		}
-		if f.complete(dst[pos:pos+len(f.data):pos+len(f.data)], nil) {
-			served++
-		}
-		pos += len(f.data)
-	}
-	s.stats.served.Add(uint64(served))
-	return n
-}
-
-// runSegmented dispatches one fused (op, kind, direction) pass to the
-// matching flat segmented kernel from internal/scan (legacy path).
-func runSegmented(spec Spec, dst, src []int64, flags []bool, workers int) {
-	switch spec.Op {
-	case OpSum:
-		runMonoid(scan.Add[int64]{}, spec, dst, src, flags, workers)
-	case OpMul:
-		runMonoid(scan.Mul[int64]{}, spec, dst, src, flags, workers)
-	case OpMax:
-		runMonoid(scan.Max[int64]{Id: math.MinInt64}, spec, dst, src, flags, workers)
-	case OpMin:
-		runMonoid(scan.Min[int64]{Id: math.MaxInt64}, spec, dst, src, flags, workers)
-	default:
-		panic("serve: runSegmented: invalid op " + spec.Op.String())
-	}
-}
-
-// runMonoid selects the flat kernel for the spec's kind and direction.
-func runMonoid[O scan.Op[int64]](op O, spec Spec, dst, src []int64, flags []bool, workers int) {
-	switch {
-	case spec.Dir == Forward && spec.Kind == Exclusive:
-		scan.SegExclusiveParallel(op, dst, src, flags, workers)
-	case spec.Dir == Forward && spec.Kind == Inclusive:
-		scan.SegInclusiveParallel(op, dst, src, flags, workers)
-	case spec.Dir == Backward && spec.Kind == Exclusive:
-		scan.SegExclusiveBackwardParallel(op, dst, src, flags, workers)
-	default:
-		scan.SegInclusiveBackwardParallel(op, dst, src, flags, workers)
 	}
 }

@@ -124,7 +124,7 @@ func TestChaosSoak(t *testing.T) {
 			// exercises both codecs (and both chaos families) on one server.
 			dial := func() (*Client, error) {
 				if cl%2 == 1 {
-					return DialProto(ns.Addr(), ProtoBin)
+					return DialMaxLineProto(ns.Addr(), DefaultMaxLineBytes, ProtoBin)
 				}
 				return Dial(ns.Addr())
 			}
@@ -170,7 +170,7 @@ func TestChaosSoak(t *testing.T) {
 						res, err = conn.StreamScan(ctx, spec.Op.String(), spec.Kind.String(), spec.Dir.String(),
 							data, 1+rng.Intn(16))
 					} else if userOp {
-						res, err = conn.ScanTenantCtx(ctx, "user:gcd", spec.Kind.String(), spec.Dir.String(), "chaos", data)
+						res, err = conn.ScanPinned(ctx, "user:gcd", spec.Kind.String(), spec.Dir.String(), "chaos", 0, data)
 					} else {
 						res, err = conn.ScanCtx(ctx, spec.Op.String(), spec.Kind.String(), spec.Dir.String(), data)
 					}

@@ -161,8 +161,8 @@ func (t *exchangeTable) await(ctx context.Context, k xchgKey, timeout time.Durat
 }
 
 // peerPool caches one multiplexed Client per peer worker address.
-// Dialed binary-first (degrading to JSON against an old peer); a failed
-// send drops the entry so the next round redials fresh.
+// Dialed binary; a failed send drops the entry so the next round
+// redials fresh.
 type peerPool struct {
 	maxLine int
 

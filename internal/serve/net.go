@@ -509,10 +509,6 @@ func (j *jsonConn) readRequest() (WireRequest, error) {
 			j.respond(WireResponse{ID: extractID(line), Error: "bad json: " + err.Error(), Code: CodeBadJSON})
 			continue
 		}
-		// Every JSON stream_open gets the extended ack: old JSON clients
-		// ignore unknown response fields, so no opt-in frame is needed
-		// (the binary codec needs FStreamOpen2 for the same effect).
-		req.WantAck = req.Type == "stream_open"
 		return req, nil
 	}
 }
@@ -775,14 +771,9 @@ type Client struct {
 	waiters map[uint64]chan WireResponse
 	readErr error
 	closed  bool
-
-	// legacyOpen latches once a resumable stream open (FStreamOpen2) was
-	// rejected by a pre-FAck binary server, so later opens skip the
-	// doomed attempt. JSON connections never set it.
-	legacyOpen atomic.Bool
 }
 
-// Wire protocol names for DialProto and the cluster/cmd configs.
+// Wire protocol names for DialMaxLineProto and the cluster/cmd configs.
 const (
 	// ProtoJSON is the legacy newline-delimited-JSON protocol.
 	ProtoJSON = "json"
@@ -790,46 +781,34 @@ const (
 	ProtoBin = "bin"
 )
 
-// Dial connects to a scansd address speaking the legacy JSON protocol.
-// The client's response reader is sized for a server running the
-// default line budget; against a server with a larger MaxLineBytes, use
-// DialMaxLine with the same value.
+// Dial connects to a scansd address speaking the JSON protocol. The
+// client's response reader is sized for a server running the default
+// line budget; against a server with a larger MaxLineBytes, use
+// DialMaxLineProto with the same value.
 func Dial(addr string) (*Client, error) {
-	return DialMaxLine(addr, DefaultMaxLineBytes)
+	return DialMaxLineProto(addr, DefaultMaxLineBytes, ProtoJSON)
 }
 
-// DialBin connects speaking the binary protocol (degrading to JSON
-// against a pre-binwire server; see DialMaxLineProto).
+// DialBin connects speaking the binary protocol (see DialMaxLineProto).
 func DialBin(addr string) (*Client, error) {
 	return DialMaxLineProto(addr, DefaultMaxLineBytes, ProtoBin)
-}
-
-// DialProto is Dial with an explicit protocol (ProtoJSON or ProtoBin;
-// empty means JSON).
-func DialProto(addr, proto string) (*Client, error) {
-	return DialMaxLineProto(addr, DefaultMaxLineBytes, proto)
-}
-
-// DialMaxLine is Dial with an explicit line budget: maxLineBytes must
-// be at least the server's MaxLineBytes, or large responses will kill
-// the connection client-side (token too long) even though the server
-// sent them happily. The reader gets headroom on top of the nominal
-// budget so a response at exactly the server's limit still fits.
-func DialMaxLine(addr string, maxLineBytes int) (*Client, error) {
-	return DialMaxLineProto(addr, maxLineBytes, ProtoJSON)
 }
 
 // negotiateTimeout bounds the binary handshake round trip so a dial
 // against a server that accepts but never answers cannot hang forever.
 const negotiateTimeout = 10 * time.Second
 
-// DialMaxLineProto is DialMaxLine with an explicit protocol. For
-// ProtoBin the client sends the binwire Magic preamble and waits for
-// the echo; a legacy server instead answers the preamble with a
-// bad_json error line, which the client consumes and degrades on —
-// the same connection continues in JSON, so a binary-first client
-// works against any server generation. A connection-scoped rejection
-// (the server's MaxConns limit) surfaces as the dial error.
+// DialMaxLineProto dials with an explicit line budget and protocol
+// (ProtoJSON or ProtoBin; empty means JSON). maxLineBytes (<= 0 means
+// DefaultMaxLineBytes) must be at least the server's MaxLineBytes, or
+// large responses will kill the connection client-side (token too
+// long) even though the server sent them happily; the reader gets
+// headroom on top of the nominal budget so a response at exactly the
+// server's limit still fits. For ProtoBin the client sends the binwire
+// Magic preamble and waits for the echo; any other answer — a server
+// without binwire rejecting the preamble as bad JSON, or a
+// connection-scoped rejection such as the server's MaxConns limit —
+// fails the dial with that answer's typed error.
 func DialMaxLineProto(addr string, maxLineBytes int, proto string) (*Client, error) {
 	if maxLineBytes <= 0 {
 		maxLineBytes = DefaultMaxLineBytes
@@ -865,7 +844,7 @@ func DialMaxLineProto(addr string, maxLineBytes int, proto string) (*Client, err
 
 // negotiate runs the client half of the binary handshake (see
 // NetServer.negotiate). On return with nil error the connection speaks
-// c.bin's protocol; any other outcome closes the dial.
+// the binary protocol; any other outcome closes the dial.
 func (c *Client) negotiate() error {
 	c.conn.SetDeadline(time.Now().Add(negotiateTimeout))
 	defer c.conn.SetDeadline(time.Time{})
@@ -887,33 +866,22 @@ func (c *Client) negotiate() error {
 		c.bin = true
 		return nil
 	}
-	// Not a binary ack: a legacy server treated the preamble as a
-	// garbage line. Its bad_json error line means "JSON only here" —
-	// degrade on the same connection. Anything else (e.g. the MaxConns
-	// overloaded rejection, which is sent before negotiation) is this
+	// Not a binary ack: a JSON error line — a server without binwire
+	// rejecting the preamble as bad JSON, or the MaxConns overloaded
+	// rejection, which is sent before negotiation. Either is this
 	// connection's terminal error.
 	line, err := readLine(c.r, c.maxLine)
 	if err != nil {
 		return err
 	}
 	var resp WireResponse
-	if jerr := json.Unmarshal(line, &resp); jerr != nil {
-		return fmt.Errorf("garbled negotiation response %q", line)
-	}
+	jerr := json.Unmarshal(line, &resp)
 	releaseData(resp.Result)
-	if resp.Code == CodeBadJSON {
-		return nil
+	if jerr != nil || resp.Error == "" {
+		return fmt.Errorf("unexpected negotiation response %q", line)
 	}
-	if resp.Error != "" {
-		return errorForCode(resp.Code, resp.Error)
-	}
-	return fmt.Errorf("unexpected negotiation response %q", line)
+	return fmt.Errorf("binary protocol refused: %w", errorForCode(resp.Code, resp.Error))
 }
-
-// Bin reports whether the connection negotiated the binary protocol
-// (false for a ProtoBin dial that degraded to JSON against a legacy
-// server).
-func (c *Client) Bin() bool { return c.bin }
 
 // Close tears down the connection; outstanding Scan calls fail.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -943,32 +911,18 @@ func deadlineMS(d time.Duration) int64 {
 // server as the request's timeout_ms (so the server can shed the
 // request unexecuted) and also bounds the local wait for the response.
 func (c *Client) ScanCtx(ctx context.Context, op, kind, dir string, data []int64) ([]int64, error) {
-	return c.ScanTenantCtx(ctx, op, kind, dir, "", data)
+	return c.ScanPinned(ctx, op, kind, dir, "", 0, data)
 }
 
-// ScanTenantCtx is ScanCtx with an explicit fairness tenant, so a
-// coordinator relaying many clients' shards through one worker
-// connection can preserve each origin's fair-share identity instead of
-// collapsing them all into the connection's remote address.
-func (c *Client) ScanTenantCtx(ctx context.Context, op, kind, dir, tenant string, data []int64) ([]int64, error) {
-	req := WireRequest{Op: op, Kind: kind, Dir: dir, Tenant: tenant, Data: data}
-	resp, err := c.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		resp.Result = []int64{}
-	}
-	return resp.Result, nil
-}
-
-// ScanPinned is ScanTenantCtx for user combine ops with a pinned
-// registration hash (op "user:<name>"): the server refuses to combine
-// with any program whose content hash differs from opHash (code
-// "op_hash" → ErrOpHash). opHash 0 means unpinned. Cluster
-// coordinators use the pin on every piece they dispatch, so a worker
-// holding a stale registration can never silently combine with the
-// wrong function.
+// ScanPinned is ScanCtx with an explicit fairness tenant and, for user
+// combine ops (op "user:<name>"), a pinned registration hash. The
+// tenant ("" = the connection's remote address) lets a coordinator
+// relaying many clients' shards through one worker connection preserve
+// each origin's fair-share identity. The server refuses to combine with
+// any program whose content hash differs from opHash (code "op_hash" →
+// ErrOpHash); opHash 0 means unpinned. Cluster coordinators pin every
+// user-op piece they dispatch, so a worker holding a stale registration
+// can never silently combine with the wrong function.
 func (c *Client) ScanPinned(ctx context.Context, op, kind, dir, tenant string, opHash uint64, data []int64) ([]int64, error) {
 	req := WireRequest{Op: op, Kind: kind, Dir: dir, Tenant: tenant, OpHash: opHash, Data: data}
 	resp, err := c.roundTrip(ctx, req)
@@ -1158,17 +1112,12 @@ func (c *Client) sendBin(req WireRequest) error {
 		if name, ok := strings.CutPrefix(req.Op, "user:"); ok {
 			frame = arena.GetBytes(binwire.StreamOpenFrameBytes() + binwire.UserOpBytes(name))[:0]
 			frame = binwire.AppendStreamOpenUser(frame, req.ID, req.Stream,
-				binKindByte(req.Kind), binDirByte(req.Dir), name, req.OpHash, req.WantAck)
+				binKindByte(req.Kind), binDirByte(req.Dir), name, req.OpHash)
 			break
 		}
 		frame = arena.GetBytes(binwire.StreamOpenFrameBytes())[:0]
-		if req.WantAck {
-			frame = binwire.AppendStreamOpen2(frame, req.ID, req.Stream,
-				binOpByte(req.Op), binKindByte(req.Kind), binDirByte(req.Dir), binElemByte(req.Elem))
-		} else {
-			frame = binwire.AppendStreamOpen(frame, req.ID, req.Stream,
-				binOpByte(req.Op), binKindByte(req.Kind), binDirByte(req.Dir), binElemByte(req.Elem))
-		}
+		frame = binwire.AppendStreamOpen(frame, req.ID, req.Stream,
+			binOpByte(req.Op), binKindByte(req.Kind), binDirByte(req.Dir), binElemByte(req.Elem))
 	case "stream_chunk":
 		frame = arena.GetBytes(binwire.StreamChunkFrameBytes(len(req.Data)))[:0]
 		frame = binwire.AppendStreamChunk(frame, req.ID, req.Stream, req.TimeoutMS, req.Data)
@@ -1349,9 +1298,9 @@ const DefaultStreamChunk = 1 << 15
 type ClientStream struct {
 	c   *Client
 	sid uint64
-	// token is the resume token from the extended open ack ("" against a
-	// server or backend without resumable streams); window is the
-	// flow-control credit (0 = none advertised, callers treat as 1).
+	// token is the resume token from the open ack ("" against a backend
+	// without resumable streams); window is the flow-control credit (a
+	// server advertising none is treated as 1).
 	token  string
 	window int
 
@@ -1360,46 +1309,26 @@ type ClientStream struct {
 	err    error
 }
 
-// ResumeToken returns the stream's resume token, or "" when the server
-// did not offer one (plain in-process backend, or a pre-resume server).
+// ResumeToken returns the stream's resume token, or "" when the backend
+// did not offer one (a plain in-process Server has no resume table).
 func (s *ClientStream) ResumeToken() string { return s.token }
 
 // Window returns the server's flow-control credit: how many chunk
-// requests may be in flight at once (0 when the server did not
-// advertise one; treat as 1).
+// requests may be in flight at once (StreamWindow from a NetServer).
 func (s *ClientStream) Window() int { return s.window }
 
 // OpenStream starts a streaming session for op/kind/dir (wire strings,
 // forward only — the server refuses backward specs with
 // ErrStreamUnsupported, because a backward carry depends on chunks that
-// have not arrived yet). When the server supports it, the open's ack
-// carries a resume token and a flow-control window (see ResumeToken /
-// Window); against an older server the stream still works, just without
-// either.
+// have not arrived yet). The open's ack carries the flow-control window
+// and, when the backend supports resume, a resume token (see Window /
+// ResumeToken).
 func (c *Client) OpenStream(ctx context.Context, op, kind, dir string) (*ClientStream, error) {
 	c.mu.Lock()
 	c.nextSID++
 	sid := c.nextSID
 	c.mu.Unlock()
-	req := WireRequest{Type: "stream_open", Stream: sid, Op: op, Kind: kind, Dir: dir}
-	// Ask for the extended ack unless this binary connection has already
-	// learned its server predates FAck (JSON servers of any generation
-	// just ignore the extra response fields, so JSON always asks).
-	req.WantAck = !c.bin || !c.legacyOpen.Load()
-	resp, err := c.roundTrip(ctx, req)
-	if err != nil && c.bin && req.WantAck && errors.Is(err, ErrBadRequest) {
-		// Possibly a pre-FAck server rejecting the unknown FStreamOpen2
-		// frame (payload-level bad_frame: the connection survives). Retry
-		// with the legacy frame; only a SUCCESS latches legacy mode, so a
-		// genuinely bad spec — which fails both ways — never downgrades
-		// the connection.
-		legacy := req
-		legacy.WantAck = false
-		if lresp, lerr := c.roundTrip(ctx, legacy); lerr == nil {
-			c.legacyOpen.Store(true)
-			resp, err = lresp, nil
-		}
-	}
+	resp, err := c.roundTrip(ctx, WireRequest{Type: "stream_open", Stream: sid, Op: op, Kind: kind, Dir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -1559,8 +1488,7 @@ func (s *ClientStream) pump(ctx context.Context, data []int64, chunkElems, from 
 // works for vectors whose one-shot response would blow the line budget
 // (the server refuses those with code "too_large"). Vectors that fit in
 // a single chunk just take the one-shot path. Chunks are pipelined up
-// to the server's advertised flow-control window (lock-step against a
-// server without one).
+// to the server's advertised flow-control window.
 func (c *Client) StreamScan(ctx context.Context, op, kind, dir string, data []int64, chunkElems int) ([]int64, error) {
 	if chunkElems <= 0 {
 		chunkElems = DefaultStreamChunk

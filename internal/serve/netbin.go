@@ -161,9 +161,6 @@ func wireFromBin(q binwire.Request) WireRequest {
 		req.Type = ""
 	case binwire.FStreamOpen:
 		req.Type = "stream_open"
-	case binwire.FStreamOpen2:
-		req.Type = "stream_open"
-		req.WantAck = true
 	case binwire.FStreamChunk:
 		req.Type = "stream_chunk"
 	case binwire.FStreamClose:
@@ -203,7 +200,7 @@ func wireFromBin(q binwire.Request) WireRequest {
 		req.Name = q.Name
 		req.Source = q.Source
 	}
-	if q.Type == binwire.FScan || q.Type == binwire.FStreamOpen || q.Type == binwire.FStreamOpen2 {
+	if q.Type == binwire.FScan || q.Type == binwire.FStreamOpen {
 		req.Op = binOpWire(q)
 		req.OpHash = q.OpHash
 		req.Kind = binKindString(q.Kind)
@@ -257,11 +254,8 @@ func (b *binConn) respond(resp WireResponse) {
 	case resp.Error != "" || resp.Code != "":
 		frame = arena.GetBytes(binwire.ErrorFrameBytes(resp.Code, resp.Error))[:0]
 		frame = binwire.AppendError(frame, resp.ID, resp.Code, resp.Error)
-	case resp.Resume != "" || resp.Seq != nil || resp.Window != 0:
-		// Extended stream ack. Only reaches the wire for clients that
-		// opted in (FStreamOpen2 / FStreamResume set req.WantAck); a plain
-		// FStreamOpen still gets the empty-FResult ack below, so old
-		// binary clients never see an FAck they cannot parse.
+	case resp.Window != 0:
+		// Stream open/resume ack: both always carry the window.
 		var seq uint64
 		if resp.Seq != nil {
 			seq = *resp.Seq

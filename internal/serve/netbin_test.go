@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,9 +19,8 @@ import (
 	"scans/internal/fault"
 )
 
-// dialBinT dials the binary protocol and fails the test if negotiation
-// degraded — these tests are about the binary path, so silently running
-// them over JSON would be a false green.
+// dialBinT dials the binary protocol and closes the client when the
+// test ends.
 func dialBinT(t *testing.T, addr string) *Client {
 	t.Helper()
 	c, err := DialBin(addr)
@@ -30,9 +28,6 @@ func dialBinT(t *testing.T, addr string) *Client {
 		t.Fatalf("DialBin: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if !c.Bin() {
-		t.Fatal("binary dial degraded to JSON against our own server")
-	}
 	return c
 }
 
@@ -318,11 +313,29 @@ func TestBinBadPayloadKeepsConn(t *testing.T) {
 	}
 }
 
-// TestBinNegotiationLegacyDegrade runs a binary-first dial against a
-// fake pre-binwire server: one that treats the Magic preamble as a
-// garbage JSON line. The client must consume the bad_json answer and
-// continue in JSON on the same connection.
-func TestBinNegotiationLegacyDegrade(t *testing.T) {
+// TestBinStreamOpenAnsweredWithAck pins the single stream-open frame:
+// a plain FStreamOpen on a plain NetServer is answered with FAck
+// carrying the flow-control window (and no resume token — an
+// in-process Server has no resume table). TestStreamFlowControlWindow
+// checks the same window through Client.OpenStream.
+func TestBinStreamOpenAnsweredWithAck(t *testing.T) {
+	ns := startNet(t, Config{})
+	conn, r := rawBinConn(t, ns.Addr())
+	frame := binwire.AppendStreamOpen(nil, 7, 1, 0, 1, 0, binwire.ElemInt64)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write FStreamOpen: %v", err)
+	}
+	resp := readBinResp(t, r)
+	if resp.Type != binwire.FAck || resp.ID != 7 || resp.Window != StreamWindow || resp.Token != "" {
+		t.Fatalf("FStreamOpen answer = %+v, want FAck id 7 window %d no token", resp, StreamWindow)
+	}
+}
+
+// TestBinDialRefusedByJSONOnlyServer runs a binary dial against a fake
+// JSON-only server: one that treats the Magic preamble as a garbage
+// JSON line. The dial must fail with the server's bad_json answer
+// instead of degrading to JSON on the same connection.
+func TestBinDialRefusedByJSONOnlyServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -340,43 +353,19 @@ func TestBinNegotiationLegacyDegrade(t *testing.T) {
 			return
 		}
 		fmt.Fprintf(conn, `{"id":0,"error":"request is not valid JSON","code":%q}`+"\n", CodeBadJSON)
-		// Then serve newline-JSON like a legacy scansd would.
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return
-			}
-			var req WireRequest
-			if json.Unmarshal([]byte(line), &req) != nil {
-				return
-			}
-			res := make([]int64, len(req.Data))
-			var acc int64
-			for i, v := range req.Data {
-				acc += v
-				res[i] = acc
-			}
-			out, _ := json.Marshal(WireResponse{ID: req.ID, Result: res})
-			conn.Write(append(out, '\n'))
-		}
+		// Hold the connection open until the client hangs up, so the
+		// dial error comes from the answer, not from an EOF.
+		io.Copy(io.Discard, r)
 	}()
 
 	c, err := DialBin(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialBin against legacy server: %v", err)
+	if err == nil {
+		c.Close()
+		t.Fatal("DialBin against a JSON-only server succeeded; want an error, not a JSON downgrade")
 	}
-	defer c.Close()
-	if c.Bin() {
-		t.Fatal("client claims binary against a JSON-only server")
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("DialBin against a JSON-only server = %v, want the bad_json answer (ErrBadRequest)", err)
 	}
-	res, err := c.Scan("sum", "inclusive", "forward", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatalf("degraded scan: %v", err)
-	}
-	if len(res) != 3 || res[2] != 6 {
-		t.Fatalf("degraded scan result %v", res)
-	}
-	releaseData(res)
 }
 
 // TestBinMultiplexing is the mux acceptance test: one binary

@@ -25,7 +25,7 @@ import (
 // loop — but because a SKIPPED chunk would silently corrupt the carry,
 // a full queue fails the stream rather than dropping the chunk.
 
-// StreamWindow is the flow-control credit a resumable stream-open ack
+// StreamWindow is the flow-control credit every stream-open ack
 // advertises: how many chunk requests a client may hold in flight on
 // one stream before blocking on acks. It equals the worker's mailbox
 // depth, so a client honoring the window can never hit the
@@ -135,12 +135,9 @@ func (cs *connStreams) open(req WireRequest) {
 	cs.wg.Add(1)
 	go cs.run(sess)
 	cs.mu.Unlock()
-	ack := WireResponse{ID: req.ID}
-	if req.WantAck {
-		ack.Window = StreamWindow
-		if ts, ok := st.(TokenStream); ok {
-			ack.Resume = ts.ResumeToken()
-		}
+	ack := WireResponse{ID: req.ID, Window: StreamWindow}
+	if ts, ok := st.(TokenStream); ok {
+		ack.Resume = ts.ResumeToken()
 	}
 	cs.respond(ack)
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // pushTenant enqueues a bare future tagged with a tenant name.
-func pushTenant(t *tenantQueues, tenant string, n int) []*Future {
-	futs := make([]*Future, n)
+func pushTenant(t *tenantQueues, tenant string, n int) []*future {
+	futs := make([]*future, n)
 	for i := range futs {
-		futs[i] = &Future{tenant: tenant, done: make(chan struct{})}
+		futs[i] = &future{tenant: tenant, done: make(chan struct{})}
 		t.push(futs[i])
 	}
 	return futs
@@ -108,13 +108,13 @@ func TestDeadlineExpiredInQueueIsDropped(t *testing.T) {
 	s := newStopped(Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	f, err := s.SubmitReq(ctx, Req{Spec: Spec{Op: OpSum}, Data: []int64{1, 2, 3}})
+	f, err := s.submitReq(ctx, request{spec: Spec{Op: OpSum}, data: []int64{1, 2, 3}})
 	if err != nil {
-		t.Fatalf("SubmitReq: %v", err)
+		t.Fatalf("submitReq: %v", err)
 	}
 	<-ctx.Done() // expire while queued (server not started)
 	s.start()
-	res, err := f.Wait()
+	res, err := f.wait()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Wait = (%v, %v), want DeadlineExceeded", res, err)
 	}
@@ -131,13 +131,13 @@ func TestDeadlineExpiredInQueueIsDropped(t *testing.T) {
 func TestCanceledInQueueIsDropped(t *testing.T) {
 	s := newStopped(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	f, err := s.SubmitReq(ctx, Req{Spec: Spec{Op: OpSum}, Data: []int64{1}})
+	f, err := s.submitReq(ctx, request{spec: Spec{Op: OpSum}, data: []int64{1}})
 	if err != nil {
-		t.Fatalf("SubmitReq: %v", err)
+		t.Fatalf("submitReq: %v", err)
 	}
 	cancel()
 	s.start()
-	if _, err := f.Wait(); !errors.Is(err, context.Canceled) {
+	if _, err := f.wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait err = %v, want Canceled", err)
 	}
 	s.Close()
@@ -151,8 +151,8 @@ func TestAlreadyExpiredContextRejectedAtAdmission(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SubmitReq(ctx, Req{Spec: Spec{Op: OpSum}, Data: []int64{1}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitReq on dead ctx = %v, want Canceled", err)
+	if _, err := s.submitReq(ctx, request{spec: Spec{Op: OpSum}, data: []int64{1}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submitReq on dead ctx = %v, want Canceled", err)
 	}
 	if st := s.Stats(); st.Rejected != 1 || st.Requests != 0 {
 		t.Fatalf("stats = %v, want rejected=1 requests=0", st)
@@ -163,13 +163,13 @@ func TestQueueAgeShed(t *testing.T) {
 	// A request older than QueueAgeLimit is shed with ErrShed before
 	// any kernel pass — stale work is dropped, not executed.
 	s := newStopped(Config{QueueAgeLimit: time.Millisecond})
-	f, err := s.SubmitAsync(Spec{Op: OpSum}, []int64{1, 2})
+	f, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: []int64{1, 2}})
 	if err != nil {
-		t.Fatalf("SubmitAsync: %v", err)
+		t.Fatalf("submitReq: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond)
 	s.start()
-	if _, err := f.Wait(); !errors.Is(err, ErrShed) {
+	if _, err := f.wait(); !errors.Is(err, ErrShed) {
 		t.Fatalf("Wait err = %v, want ErrShed", err)
 	}
 	s.Close()
@@ -182,12 +182,12 @@ func TestQueueAgeShed(t *testing.T) {
 func TestFreshRequestsAreNotShed(t *testing.T) {
 	s := New(Config{QueueAgeLimit: time.Second})
 	defer s.Close()
-	got, err := s.Submit(Spec{Op: OpSum, Kind: Inclusive}, []int64{1, 2, 3})
+	got, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum, Kind: Inclusive}, []int64{1, 2, 3})
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitCtx: %v", err)
 	}
 	if want := []int64{1, 3, 6}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Submit = %v, want %v", got, want)
+		t.Fatalf("SubmitCtx = %v, want %v", got, want)
 	}
 }
 
@@ -199,15 +199,15 @@ func TestPanicIsolation(t *testing.T) {
 	defer s.Close()
 
 	faults.Arm(fault.KernelPanic, 1)
-	if _, err := s.Submit(Spec{Op: OpSum}, []int64{1, 2, 3}); !errors.Is(err, ErrInternal) {
-		t.Fatalf("Submit during armed panic = %v, want ErrInternal", err)
+	if _, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum}, []int64{1, 2, 3}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("SubmitCtx during armed panic = %v, want ErrInternal", err)
 	}
 	faults.Disarm(fault.KernelPanic)
 
 	// The server survived: the next request is served normally.
-	got, err := s.Submit(Spec{Op: OpSum}, []int64{1, 2, 3})
+	got, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum}, []int64{1, 2, 3})
 	if err != nil {
-		t.Fatalf("Submit after panic: %v", err)
+		t.Fatalf("SubmitCtx after panic: %v", err)
 	}
 	if want := []int64{0, 1, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-panic result = %v, want %v", got, want)
@@ -233,23 +233,23 @@ func TestPanicIsolationConfinedToGroup(t *testing.T) {
 	s := New(Config{Faults: faults, MinBatchRequests: 2, MaxWait: 50 * time.Millisecond})
 	defer s.Close()
 	faults.Arm(fault.KernelPanic, 1)
-	fa, err := s.SubmitAsync(Spec{Op: OpSum}, []int64{1})
+	fa, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := s.SubmitAsync(Spec{Op: OpMax}, []int64{2})
+	fb, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpMax}, data: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fa.Wait(); !errors.Is(err, ErrInternal) {
+	if _, err := fa.wait(); !errors.Is(err, ErrInternal) {
 		t.Fatalf("group A err = %v, want ErrInternal", err)
 	}
-	if _, err := fb.Wait(); !errors.Is(err, ErrInternal) {
+	if _, err := fb.wait(); !errors.Is(err, ErrInternal) {
 		t.Fatalf("group B err = %v, want ErrInternal", err)
 	}
 	faults.Disarm(fault.KernelPanic)
 	for _, spec := range []Spec{{Op: OpSum}, {Op: OpMax}} {
-		if _, err := s.Submit(spec, []int64{1, 2}); err != nil {
+		if _, err := s.SubmitCtx(context.Background(), spec, []int64{1, 2}); err != nil {
 			t.Fatalf("%v after panics: %v", spec, err)
 		}
 	}
@@ -261,8 +261,8 @@ func TestSlowKernelFaultDelays(t *testing.T) {
 	s := New(Config{Faults: faults})
 	defer s.Close()
 	start := time.Now()
-	if _, err := s.Submit(Spec{Op: OpSum}, []int64{1}); err != nil {
-		t.Fatalf("Submit: %v", err)
+	if _, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum}, []int64{1}); err != nil {
+		t.Fatalf("SubmitCtx: %v", err)
 	}
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("slow-kernel request returned in %v, want >= ~20ms", d)
@@ -277,23 +277,23 @@ func TestTerminalOutcomeAccounting(t *testing.T) {
 	faults.Arm(fault.KernelPanic, 0.2)
 	for i := 0; i < 200; i++ {
 		var (
-			f   *Future
+			f   *future
 			err error
 		)
 		if i%5 == 0 {
 			// Cancel racing the batcher: either a deadline drop or a
 			// served/panicked result — both are legal terminal outcomes.
 			ctx, cancel := context.WithCancel(context.Background())
-			f, err = s.SubmitReq(ctx, Req{Spec: Spec{Op: OpSum}, Data: []int64{int64(i), 1}})
+			f, err = s.submitReq(ctx, request{spec: Spec{Op: OpSum}, data: []int64{int64(i), 1}})
 			cancel()
 		} else {
-			f, err = s.SubmitAsync(Spec{Op: OpSum}, []int64{int64(i), 1})
+			f, err = s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: []int64{int64(i), 1}})
 		}
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		if i%7 == 0 {
-			f.Wait()
+			f.wait()
 		}
 	}
 	s.Close()
@@ -495,9 +495,9 @@ func TestTenantQueuesPropertyRandomized(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		q := newTenantQueues(weights)
 		var (
-			pushed  = map[string][]*Future{}
+			pushed  = map[string][]*future{}
 			nPopped = map[string]int{}
-			seen    = map[*Future]bool{}
+			seen    = map[*future]bool{}
 			// starve[tn] counts pops of OTHER tenants since tn was last
 			// served while tn had work pending.
 			starve  = map[string]int{}
@@ -536,7 +536,7 @@ func TestTenantQueuesPropertyRandomized(t *testing.T) {
 		for step := 0; step < 500; step++ {
 			if pending == 0 || rng.Intn(2) == 0 {
 				tn := tenants[rng.Intn(len(tenants))]
-				f := &Future{tenant: tn, done: make(chan struct{})}
+				f := &future{tenant: tn, done: make(chan struct{})}
 				q.push(f)
 				pushed[tn] = append(pushed[tn], f)
 				pending++

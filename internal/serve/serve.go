@@ -3,16 +3,16 @@
 // The paper's own argument for segmented scans (§3) is that many
 // independent small scans can execute as ONE primitive pass over a
 // single flat vector. This package applies that argument to serving:
-// a Server accepts Submit requests from many goroutines, coalesces
-// whatever arrives within a batching window into one flat vector plus
-// segment-head flags, runs a single segmented-scan kernel pass per
-// (op, kind, direction) group, and scatters the results back to
-// per-request futures. Per-invocation overhead — dispatch, allocation,
+// a Server accepts SubmitCtx/Scan requests from many goroutines,
+// coalesces whatever arrives within a batching window, runs a single
+// segmented-scan kernel pass per (op, kind, direction) group directly
+// over the request-owned payloads, and hands each request its own
+// result buffer. Per-invocation overhead — dispatch, allocation,
 // kernel startup — is paid once per batch instead of once per request,
 // which is exactly the amortization Figure 10's long-vector rule buys
 // the hardware.
 //
-// The pipeline is: Submit → bounded queue (backpressure) → batcher
+// The pipeline is: submit → bounded queue (backpressure) → batcher
 // (one goroutine, owns the batching window and the per-tenant fair
 // pick) → executor pool (sized via scan.Workers) → segmented kernels
 // → futures.
@@ -41,7 +41,7 @@ import (
 	"scans/internal/scan"
 )
 
-// Typed errors returned by Submit and friends. Callers branch on these
+// Typed errors returned by SubmitCtx and friends. Callers branch on these
 // with errors.Is; ErrOverloaded in particular is the backpressure
 // signal — the bounded queue is full and the request was REJECTED, not
 // queued.
@@ -280,8 +280,8 @@ func (s Spec) Width() int {
 // Config tunes a Server. The zero value is usable: every field has a
 // sensible default applied by New.
 type Config struct {
-	// MaxBatchElems flushes the building batch once its fused vector
-	// reaches this many elements. Default 1 << 16.
+	// MaxBatchElems flushes the building batch once its payloads total
+	// this many elements. Default 1 << 16.
 	MaxBatchElems int
 	// MaxBatchRequests flushes the building batch once it holds this
 	// many requests. 1 disables fusion entirely (every request is its
@@ -305,12 +305,12 @@ type Config struct {
 	// QueueAgeLimit sheds requests that waited in the queue longer than
 	// this before reaching a kernel pass: they resolve with ErrShed
 	// instead of executing. Shedding happens at batch-assembly time —
-	// before the request's payload is ever copied into a fused vector —
+	// before the request's payload ever reaches a kernel pass —
 	// so under sustained overload the server spends kernel passes only
 	// on work whose caller plausibly still cares. 0 disables (default).
 	QueueAgeLimit time.Duration
 	// TenantWeights maps tenant names to batch-slot weights for the
-	// batcher's weighted round-robin pick (see Req.Tenant). Tenants not
+	// batcher's weighted round-robin pick (the Scan tenant). Tenants not
 	// listed (including the default "" tenant) get weight 1. A tenant
 	// with weight w gets up to w consecutive batch slots per round, so
 	// a flooding tenant degrades to its fair share of each batch
@@ -342,13 +342,6 @@ type Config struct {
 	// benchmarking and bit-identity comparisons). Results are
 	// bit-identical either way.
 	VMDispatch string
-
-	// legacyFlatten selects the pre-zero-copy group path (flatten into a
-	// fused src/flags vector, results as subslices of a fresh output).
-	// Benchmark baseline only: its results are not arena-backed, so it
-	// must never sit behind the TCP front end, whose handlers return
-	// every result buffer to the arena.
-	legacyFlatten bool
 }
 
 // withDefaults fills zero fields.
@@ -388,75 +381,62 @@ const (
 // dispatch (anything but an explicit "scalar").
 func (c Config) vmVector() bool { return c.VMDispatch != VMDispatchScalar }
 
-// Req is one scan request. Spec and Data are required; Tenant
+// request is one scan request. spec and data are required; tenant
 // optionally names the submitter for the batcher's weighted fair pick
 // ("" is the shared default tenant).
-type Req struct {
-	Spec   Spec
-	Data   []int64
-	Tenant string
+type request struct {
+	spec   Spec
+	data   []int64
+	tenant string
 
-	// seeded/carry mark a stream chunk: the kernel pass sees the carry
-	// injected ahead of Data at the segment head, so the chunk's result
-	// continues the stream's running prefix (Figure 10's block-sum
-	// stitch applied across time). Set only by Stream.Push.
+	// seeded/carry mark a stream chunk: the kernel pass folds the carry
+	// in at the segment head, so the chunk's result continues the
+	// stream's running prefix (Figure 10's block-sum stitch applied
+	// across time). Set only by Stream.Push.
 	seeded bool
 	carry  int64
 }
 
-// Future is the handle for an in-flight request. Wait blocks until the
+// future is the handle for an in-flight request. wait blocks until the
 // request has a terminal outcome: a result, a typed error, or the
 // request's own context error if it expired while queued.
 //
-// Futures created by the public Submit* entry points live until the GC
-// takes them. The internal synchronous paths (Scan, Submit, SubmitCtx,
-// Stream.Push — everything that waits inline and never leaks the
-// handle) instead recycle futures through a sync.Pool: poolable is set,
-// refs counts the two parties that can still touch the future (the
-// inline waiter and the batch pipeline), and whoever releases last
-// returns it to the pool. That keeps the steady-state request path free
-// of the per-request future+channel allocations that would otherwise
-// dominate the zero-copy serving profile.
-type Future struct {
+// Every future is recycled through a sync.Pool: refs counts the two
+// parties that can still touch the future (the inline waiter and the
+// batch pipeline), and whoever releases last returns it to the pool.
+// That keeps the steady-state request path free of the per-request
+// future+channel allocations that would otherwise dominate the
+// zero-copy serving profile.
+type future struct {
 	spec     Spec
 	tenant   string
 	ctx      context.Context
 	enqueued time.Time
 	data     []int64
-	seeded   bool  // stream chunk: inject carry at the segment head
+	seeded   bool  // stream chunk: fold carry in at the segment head
 	carry    int64 // running prefix of all prior chunks (when seeded)
 	res      []int64
 	err      error
 	resolved atomic.Bool
 	// done is a one-token completion channel (capacity 1): complete
-	// sends the single token, Wait consumes it. Non-poolable futures
-	// re-send the token after each Wait so repeated/concurrent Waits all
-	// return; the poolable single-waiter path leaves it consumed.
-	done     chan struct{}
-	poolable bool
-	// refs is the 2-party release count for poolable futures: one ref
-	// for the inline waiter, one for the batch pipeline (batcher or
-	// executor — whichever resolves the future releases it). The last
-	// release recycles the future.
+	// sends the single token, wait consumes it.
+	done chan struct{}
+	// refs is the 2-party release count: one ref for the inline waiter,
+	// one for the batch pipeline (batcher or executor — whichever
+	// resolves the future releases it). The last release recycles the
+	// future.
 	refs atomic.Int32
 }
 
-// futurePool recycles poolable futures (see Future doc).
+// futurePool recycles futures (see the future doc).
 var futurePool = sync.Pool{
-	New: func() any { return &Future{done: make(chan struct{}, 1)} },
-}
-
-// getFuture checks a poolable future out of the pool.
-func getFuture() *Future {
-	f := futurePool.Get().(*Future)
-	f.poolable = true
-	return f
+	New: func() any { return &future{done: make(chan struct{}, 1)} },
 }
 
 // putFuture scrubs and recycles a future. Only the last release path
 // calls this; by then the token has been consumed and no other party
 // holds a reference.
-func putFuture(f *Future) {
+func putFuture(f *future) {
 	select {
 	case <-f.done: // enqueue-failure path: token never consumed
 	default:
@@ -473,29 +453,19 @@ func putFuture(f *Future) {
 	futurePool.Put(f)
 }
 
-// release drops one party's reference to a poolable future, recycling
-// it when the count hits zero. A no-op for non-poolable futures (their
-// refs never reach zero and the GC owns them).
-func (f *Future) release() {
-	if f.refs.Add(-1) == 0 && f.poolable {
+// release drops one party's reference, recycling the future when the
+// count hits zero.
+func (f *future) release() {
+	if f.refs.Add(-1) == 0 {
 		putFuture(f)
 	}
-}
-
-// nelems is the request's footprint in a fused vector: its payload
-// plus the injected carry element for stream chunks.
-func (f *Future) nelems() int {
-	if f.seeded {
-		return len(f.data) + 1
-	}
-	return len(f.data)
 }
 
 // complete resolves the future exactly once; later calls are no-ops.
 // The single-resolution guarantee is what makes panic recovery safe:
 // a recover handler can blanket-fail a batch without double-resolving
 // futures the scatter loop already delivered.
-func (f *Future) complete(res []int64, err error) bool {
+func (f *future) complete(res []int64, err error) bool {
 	if !f.resolved.CompareAndSwap(false, true) {
 		return false
 	}
@@ -504,28 +474,21 @@ func (f *Future) complete(res []int64, err error) bool {
 	return true
 }
 
-// Wait blocks until the request has been served and returns its result.
-// The result slice is owned by the caller; it aliases no other
-// request's result (each request gets its own output buffer from the
-// arena). Results obtained through the synchronous entry points flow
-// back to the arena via the caller (see DESIGN.md "Arena ownership").
-func (f *Future) Wait() ([]int64, error) {
+// wait blocks until the request has been served and returns its result.
+// It consumes the completion token, so each future has exactly one
+// wait. The result slice is arena-backed and owned by the caller; it
+// aliases no other request's result (see DESIGN.md "Arena ownership").
+func (f *future) wait() ([]int64, error) {
 	<-f.done
-	res, err := f.res, f.err
-	if !f.poolable {
-		// Re-arm so repeated or concurrent Waits on a long-lived future
-		// all return (they serialize through the token).
-		f.done <- struct{}{}
-	}
-	return res, err
+	return f.res, f.err
 }
 
 // Server is an in-process batched scan service. Create with New, submit
 // from any number of goroutines, Close to drain and stop.
 type Server struct {
 	cfg    Config
-	queue  chan *Future
-	execCh chan []*Future
+	queue  chan *future
+	execCh chan []*future
 
 	// Fault points resolved once at construction; nil when chaos is
 	// off, and a nil Point never fires.
@@ -560,8 +523,8 @@ func newStopped(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:       cfg,
-		queue:     make(chan *Future, cfg.QueueLimit),
-		execCh:    make(chan []*Future, cfg.Executors),
+		queue:     make(chan *future, cfg.QueueLimit),
+		execCh:    make(chan []*future, cfg.Executors),
 		ops:       combine.NewRegistry(cfg.OpCap),
 		fpSlow:    cfg.Faults.Point(fault.KernelSlow),
 		fpPanic:   cfg.Faults.Point(fault.KernelPanic),
@@ -580,29 +543,24 @@ func (s *Server) start() {
 	}
 }
 
-// SubmitReq enqueues a scan request and returns a Future. ctx governs
-// the request's lifetime: a nil or background context means "serve
-// whenever"; a context with a deadline lets the batcher drop the
-// request unexecuted once it expires (the future resolves with the
-// context's error). An already-expired context is rejected outright.
+// submitReq is the admission path: it enqueues a scan request and
+// returns its pooled future, which the caller must wait on once and
+// then release (scanReq does both). ctx governs the request's lifetime:
+// a nil or background context means "serve whenever"; a context with a
+// deadline lets the batcher drop the request unexecuted once it expires
+// (the future resolves with the context's error). An already-expired
+// context is rejected outright.
 //
 // The data slice is retained until the batch executes; callers must
-// not mutate it before Wait returns. Returns ErrOverloaded when the
+// not mutate it before wait returns. Returns ErrOverloaded when the
 // queue is full, ErrClosed after Close, ErrBadRequest for an invalid
 // Spec.
-func (s *Server) SubmitReq(ctx context.Context, r Req) (*Future, error) {
-	return s.submitReq(ctx, r, false)
-}
-
-// submitReq is the shared admission path. poolable futures (internal
-// synchronous callers only) are recycled after their single Wait; see
-// the Future doc for the reference-count protocol.
-func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, error) {
-	if !r.Spec.valid() {
+func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
+	if !r.spec.valid() {
 		s.stats.rejected.Add(1)
-		return nil, fmt.Errorf("%w: invalid spec %s", ErrBadRequest, r.Spec)
+		return nil, fmt.Errorf("%w: invalid spec %s", ErrBadRequest, r.spec)
 	}
-	if r.Spec.Op == OpUser {
+	if r.spec.Op == OpUser {
 		if err := s.resolveUserOp(&r); err != nil {
 			s.stats.rejected.Add(1)
 			return nil, err
@@ -615,17 +573,12 @@ func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, 
 		s.stats.rejected.Add(1)
 		return nil, err
 	}
-	var f *Future
-	if poolable {
-		f = getFuture()
-	} else {
-		f = &Future{done: make(chan struct{}, 1)}
-	}
-	f.spec = r.Spec
-	f.tenant = r.Tenant
+	f := futurePool.Get().(*future)
+	f.spec = r.spec
+	f.tenant = r.tenant
 	f.ctx = ctx
 	f.enqueued = time.Now()
-	f.data = r.Data
+	f.data = r.data
 	f.seeded = r.seeded
 	f.carry = r.carry
 	if d := s.fpSkew.Delay(); d > 0 {
@@ -633,7 +586,7 @@ func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, 
 		// it has been queued for d already, so age-based shedding fires.
 		f.enqueued = f.enqueued.Add(-d)
 	}
-	if len(r.Data) == 0 {
+	if len(r.data) == 0 {
 		// Nothing to scan; resolve without a server round trip so empty
 		// requests can never occupy batch slots. Only the waiter holds a
 		// reference — the batch pipeline never sees this future.
@@ -648,9 +601,7 @@ func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, 
 	defer s.mu.RUnlock()
 	if s.closed {
 		s.stats.rejected.Add(1)
-		if poolable {
-			putFuture(f) // never enqueued: we own both refs
-		}
+		putFuture(f) // never enqueued: we own both refs
 		return nil, ErrClosed
 	}
 	select {
@@ -659,9 +610,7 @@ func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, 
 		return f, nil
 	default:
 		s.stats.rejected.Add(1)
-		if poolable {
-			putFuture(f)
-		}
+		putFuture(f)
 		return nil, ErrOverloaded
 	}
 }
@@ -671,24 +620,24 @@ func (s *Server) submitReq(ctx context.Context, r Req, poolable bool) (*Future, 
 // verification, and tuple-width admission. On success the spec's Hash
 // is zeroed — it has served its purpose — so equal registrations fuse
 // into one batch group however their callers pinned.
-func (s *Server) resolveUserOp(r *Req) error {
-	reg := r.Spec.reg
+func (s *Server) resolveUserOp(r *request) error {
+	reg := r.spec.reg
 	if reg == nil {
-		if reg = s.ops.Lookup(r.Tenant, r.Spec.User); reg == nil {
-			return fmt.Errorf("%w: unknown user op %q for tenant %q (register_op first)", ErrBadRequest, r.Spec.User, r.Tenant)
+		if reg = s.ops.Lookup(r.tenant, r.spec.User); reg == nil {
+			return fmt.Errorf("%w: unknown user op %q for tenant %q (register_op first)", ErrBadRequest, r.spec.User, r.tenant)
 		}
 	}
-	if r.Spec.Hash != 0 && r.Spec.Hash != reg.Hash {
-		return fmt.Errorf("%w: op %q is registered as %#016x here, caller pinned %#016x", ErrOpHash, r.Spec.User, reg.Hash, r.Spec.Hash)
+	if r.spec.Hash != 0 && r.spec.Hash != reg.Hash {
+		return fmt.Errorf("%w: op %q is registered as %#016x here, caller pinned %#016x", ErrOpHash, r.spec.User, reg.Hash, r.spec.Hash)
 	}
-	if w := reg.Width(); len(r.Data)%w != 0 {
-		return fmt.Errorf("%w: op %q combines width-%d tuples; %d elements is not a whole number of tuples", ErrBadRequest, r.Spec.User, w, len(r.Data))
+	if w := reg.Width(); len(r.data)%w != 0 {
+		return fmt.Errorf("%w: op %q combines width-%d tuples; %d elements is not a whole number of tuples", ErrBadRequest, r.spec.User, w, len(r.data))
 	}
 	if r.seeded && reg.Width() != 1 {
-		return fmt.Errorf("%w: op %q has width %d; streams carry width-1 ops only", ErrBadRequest, r.Spec.User, reg.Width())
+		return fmt.Errorf("%w: op %q has width %d; streams carry width-1 ops only", ErrBadRequest, r.spec.User, reg.Width())
 	}
-	r.Spec.Hash = 0
-	r.Spec.reg = reg
+	r.spec.Hash = 0
+	r.spec.reg = reg
 	return nil
 }
 
@@ -725,44 +674,33 @@ func (s *Server) ResolveScanOp(spec Spec, tenant string) (Spec, error) {
 	if spec.Op != OpUser {
 		return spec, nil
 	}
-	r := Req{Spec: spec, Tenant: tenant, seeded: true}
+	r := request{spec: spec, tenant: tenant, seeded: true}
 	if err := s.resolveUserOp(&r); err != nil {
 		return Spec{}, err
 	}
-	return r.Spec, nil
+	return r.spec, nil
 }
 
-// scanReq is the pooled synchronous path shared by Submit, SubmitCtx,
-// Scan, and Stream.Push: submit, wait inline, release the waiter ref so
-// the future recycles. The returned result buffer is arena-backed and
+// scanReq is the synchronous path shared by SubmitCtx, Scan, and
+// Stream.Push: submit, wait inline, release the waiter ref so the
+// future recycles. The returned result buffer is arena-backed and
 // owned by the caller (Put it when done — see DESIGN.md).
-func (s *Server) scanReq(ctx context.Context, r Req) ([]int64, error) {
-	f, err := s.submitReq(ctx, r, true)
+func (s *Server) scanReq(ctx context.Context, r request) ([]int64, error) {
+	f, err := s.submitReq(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	res, werr := f.Wait()
+	res, werr := f.wait()
 	f.release()
 	return res, werr
 }
 
-// SubmitAsync enqueues a request with no deadline (background context,
-// default tenant) and returns its Future.
-func (s *Server) SubmitAsync(spec Spec, data []int64) (*Future, error) {
-	return s.SubmitReq(context.Background(), Req{Spec: spec, Data: data})
-}
-
-// Submit is the synchronous convenience form of SubmitAsync + Wait,
-// riding the pooled future path.
-func (s *Server) Submit(spec Spec, data []int64) ([]int64, error) {
-	return s.scanReq(context.Background(), Req{Spec: spec, Data: data})
-}
-
-// SubmitCtx is the synchronous context-aware form: the request is
-// dropped unexecuted (and SubmitCtx returns the context's error) if
-// ctx expires before its batch reaches the kernels.
+// SubmitCtx runs one scan to completion under the default tenant: the
+// request is dropped unexecuted (and SubmitCtx returns the context's
+// error) if ctx expires before its batch reaches the kernels. The
+// result buffer is arena-backed and owned by the caller.
 func (s *Server) SubmitCtx(ctx context.Context, spec Spec, data []int64) ([]int64, error) {
-	return s.scanReq(ctx, Req{Spec: spec, Data: data})
+	return s.scanReq(ctx, request{spec: spec, data: data})
 }
 
 // Scan runs one scan to completion under the given tenant. It is the
@@ -771,11 +709,11 @@ func (s *Server) SubmitCtx(ctx context.Context, spec Spec, data []int64) ([]int6
 // result buffer is arena-backed; the front end returns it to the arena
 // after encoding the response.
 func (s *Server) Scan(ctx context.Context, spec Spec, data []int64, tenant string) ([]int64, error) {
-	return s.scanReq(ctx, Req{Spec: spec, Data: data, Tenant: tenant})
+	return s.scanReq(ctx, request{spec: spec, data: data, tenant: tenant})
 }
 
 // Close stops accepting new requests, drains everything already queued
-// (every accepted Future resolves), waits for the batcher and executors
+// (every accepted request resolves), waits for the batcher and executors
 // to exit, and returns. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -793,11 +731,10 @@ func (s *Server) Close() {
 // shedIfDead resolves a future whose caller has stopped caring —
 // expired/canceled context, or queued beyond QueueAgeLimit — and
 // reports whether it did. This is the batcher's admission gate into a
-// batch: dead work is dropped BEFORE its payload is copied into a
-// fused vector or a kernel pass spends cycles on it (the Figure 10
-// amortization argument applied to failure: overhead is paid once per
-// batch, and never for work nobody will read).
-func (s *Server) shedIfDead(f *Future, now time.Time) bool {
+// batch: dead work is dropped BEFORE a kernel pass spends cycles on
+// it (the Figure 10 amortization argument applied to failure: overhead
+// is paid once per batch, and never for work nobody will read).
+func (s *Server) shedIfDead(f *future, now time.Time) bool {
 	if err := f.ctx.Err(); err != nil {
 		if f.complete(nil, err) {
 			s.stats.deadlineDrops.Add(1)
@@ -860,12 +797,12 @@ func (s *Server) batchLoop() {
 // assemble builds one batch from the pending tenant queues, refilling
 // them greedily from the submission channel and yielding below the
 // fill target exactly as the pre-fairness batcher did.
-// batchSlicePool recycles the []*Future batch slices that flow from the
+// batchSlicePool recycles the []*future batch slices that flow from the
 // batcher to the executors, so steady-state assembly allocates nothing.
-var batchSlicePool = sync.Pool{New: func() any { return new([]*Future) }}
+var batchSlicePool = sync.Pool{New: func() any { return new([]*future) }}
 
-func (s *Server) assemble(pend *tenantQueues, open *bool) []*Future {
-	batch := (*batchSlicePool.Get().(*[]*Future))[:0]
+func (s *Server) assemble(pend *tenantQueues, open *bool) []*future {
+	batch := (*batchSlicePool.Get().(*[]*future))[:0]
 	elems := 0
 	sizeAtYield := -1
 	var deadline time.Time
@@ -903,7 +840,7 @@ func (s *Server) assemble(pend *tenantQueues, open *bool) []*Future {
 				continue
 			}
 			batch = append(batch, f)
-			elems += f.nelems()
+			elems += len(f.data)
 			continue
 		}
 		// Nothing pending. Flush, unless the batch is below the fill
@@ -948,8 +885,8 @@ func (s *Server) execLoop() {
 		s.runBatchSafe(sc, batch)
 		// The executor's reference on every future in the batch: by now
 		// each one is resolved (scatter or failBatch), so the pipeline is
-		// done touching them and poolable ones may recycle once their
-		// waiter is done too. Then recycle the batch slice itself.
+		// done touching them and they may recycle once their waiter is
+		// done too. Then recycle the batch slice itself.
 		for i, f := range batch {
 			f.release()
 			batch[i] = nil
@@ -961,7 +898,7 @@ func (s *Server) execLoop() {
 
 // runBatchSafe runs one batch, converting any panic that escapes batch
 // bookkeeping into ErrInternal on the batch's unresolved futures.
-func (s *Server) runBatchSafe(sc *execScratch, batch []*Future) {
+func (s *Server) runBatchSafe(sc *execScratch, batch []*future) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.failBatch(batch, r)
@@ -972,7 +909,7 @@ func (s *Server) runBatchSafe(sc *execScratch, batch []*Future) {
 
 // failBatch resolves every not-yet-resolved future in a batch (or
 // group) with ErrInternal after a recovered panic.
-func (s *Server) failBatch(batch []*Future, cause any) {
+func (s *Server) failBatch(batch []*future, cause any) {
 	s.stats.panics.Add(1)
 	err := fmt.Errorf("%w: %v", ErrInternal, cause)
 	for _, f := range batch {

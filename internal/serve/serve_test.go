@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -76,9 +77,9 @@ func TestSubmitAllSpecsMatchDirect(t *testing.T) {
 					data[i] = 2*(data[i]&1) - 1
 				}
 			}
-			got, err := s.Submit(spec, data)
+			got, err := s.SubmitCtx(context.Background(), spec, data)
 			if err != nil {
-				t.Fatalf("%v n=%d: Submit: %v", spec, n, err)
+				t.Fatalf("%v n=%d: SubmitCtx: %v", spec, n, err)
 			}
 			if want := directScan(spec, data); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v n=%d: served scan = %v, want %v", spec, n, got, want)
@@ -111,7 +112,7 @@ func TestConcurrentSubmittersFuseCorrectly(t *testing.T) {
 						data[j] = 2*(data[j]&1) - 1
 					}
 				}
-				got, err := s.Submit(spec, data)
+				got, err := s.SubmitCtx(context.Background(), spec, data)
 				if errors.Is(err, ErrOverloaded) {
 					// Legal under load; retry.
 					i--
@@ -148,17 +149,17 @@ func TestBatchingFusesConcurrentRequests(t *testing.T) {
 	s := New(Config{MinBatchRequests: K, MaxWait: time.Second, QueueLimit: 1024})
 	defer s.Close()
 	data := []int64{1, 2, 3, 4}
-	futures := make([]*Future, K)
+	futures := make([]*future, K)
 	for i := range futures {
-		f, err := s.SubmitAsync(Spec{Op: OpSum}, data)
+		f, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: data})
 		if err != nil {
-			t.Fatalf("SubmitAsync %d: %v", i, err)
+			t.Fatalf("submitReq %d: %v", i, err)
 		}
 		futures[i] = f
 	}
 	want := directScan(Spec{Op: OpSum}, data)
 	for i, f := range futures {
-		got, err := f.Wait()
+		got, err := f.wait()
 		if err != nil {
 			t.Fatalf("Wait %d: %v", i, err)
 		}
@@ -184,15 +185,41 @@ func TestBatchingFusesConcurrentRequests(t *testing.T) {
 	}
 }
 
+func TestFusedElementsStreamedCountsPayloadOnly(t *testing.T) {
+	// A stream chunk's carry is folded in by the view kernels and takes
+	// no slot, so K chunks must add exactly their payload total to
+	// FusedElements (and to the MaxBatchElems budget) — not one extra
+	// element per chunk.
+	const K, n = 16, 37
+	s := New(Config{})
+	st, err := s.OpenStream(Spec{Op: OpSum}, "")
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	ctx := context.Background()
+	for i := 0; i < K; i++ {
+		if _, err := st.Push(ctx, make([]int64, n)); err != nil {
+			t.Fatalf("Push %d: %v", i, err)
+		}
+	}
+	if _, err := st.Close(); err != nil {
+		t.Fatalf("stream Close: %v", err)
+	}
+	s.Close() // every batch's stats are recorded once the executors exit
+	if got := s.Stats().FusedElements; got != K*n {
+		t.Fatalf("FusedElements = %d for %d streamed chunks of %d, want %d", got, K, n, K*n)
+	}
+}
+
 func TestLoneRequestFlushesAfterWindow(t *testing.T) {
 	// A single request below the fill target must still be served once
 	// MaxWait expires — the window bounds latency, it never strands.
 	s := New(Config{MinBatchRequests: 8, MaxWait: 2 * time.Millisecond})
 	defer s.Close()
 	start := time.Now()
-	got, err := s.Submit(Spec{Op: OpSum, Kind: Inclusive}, []int64{4, 5})
+	got, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum, Kind: Inclusive}, []int64{4, 5})
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitCtx: %v", err)
 	}
 	if want := []int64{4, 9}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("lone request = %v, want %v", got, want)
@@ -208,16 +235,16 @@ func TestBatchElemCapFlushes(t *testing.T) {
 	s := New(Config{MaxBatchElems: 8, MinBatchRequests: 64, MaxWait: 10 * time.Millisecond, QueueLimit: 1024})
 	defer s.Close()
 	const K = 64
-	futures := make([]*Future, K)
+	futures := make([]*future, K)
 	for i := range futures {
-		f, err := s.SubmitAsync(Spec{Op: OpSum}, []int64{1, 1, 1, 1})
+		f, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: []int64{1, 1, 1, 1}})
 		if err != nil {
-			t.Fatalf("SubmitAsync: %v", err)
+			t.Fatalf("submitReq: %v", err)
 		}
 		futures[i] = f
 	}
 	for _, f := range futures {
-		if _, err := f.Wait(); err != nil {
+		if _, err := f.wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,12 +260,12 @@ func TestBackpressureOverloaded(t *testing.T) {
 	s := newStopped(Config{QueueLimit: 4})
 	data := []int64{1}
 	for i := 0; i < 4; i++ {
-		if _, err := s.SubmitAsync(Spec{Op: OpSum}, data); err != nil {
-			t.Fatalf("SubmitAsync %d within queue limit: %v", i, err)
+		if _, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: data}); err != nil {
+			t.Fatalf("submitReq %d within queue limit: %v", i, err)
 		}
 	}
-	if _, err := s.SubmitAsync(Spec{Op: OpSum}, data); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-limit SubmitAsync error = %v, want ErrOverloaded", err)
+	if _, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: data}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-limit submitReq error = %v, want ErrOverloaded", err)
 	}
 	if got := s.Stats().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
@@ -253,11 +280,11 @@ func TestBackpressureOverloaded(t *testing.T) {
 
 func TestGracefulShutdownDrains(t *testing.T) {
 	s := New(Config{MaxWait: 20 * time.Millisecond})
-	futures := make([]*Future, 50)
+	futures := make([]*future, 50)
 	for i := range futures {
-		f, err := s.SubmitAsync(Spec{Op: OpSum, Kind: Inclusive}, []int64{int64(i), 1})
+		f, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum, Kind: Inclusive}, data: []int64{int64(i), 1}})
 		if err != nil {
-			t.Fatalf("SubmitAsync: %v", err)
+			t.Fatalf("submitReq: %v", err)
 		}
 		futures[i] = f
 	}
@@ -265,7 +292,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// still resolve (drain), and new submissions must be refused.
 	s.Close()
 	for i, f := range futures {
-		got, err := f.Wait()
+		got, err := f.wait()
 		if err != nil {
 			t.Fatalf("future %d after Close: %v", i, err)
 		}
@@ -273,8 +300,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatalf("future %d = %v, want %v", i, got, want)
 		}
 	}
-	if _, err := s.Submit(Spec{Op: OpSum}, []int64{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if _, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum}, []int64{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitCtx after Close = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
 	s.Close()
@@ -291,7 +318,7 @@ func TestCloseRacesWithSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := s.Submit(Spec{Op: OpSum}, []int64{1, 2, 3})
+				_, err := s.SubmitCtx(context.Background(), Spec{Op: OpSum}, []int64{1, 2, 3})
 				if errors.Is(err, ErrClosed) {
 					return
 				}
@@ -309,11 +336,11 @@ func TestCloseRacesWithSubmitters(t *testing.T) {
 func TestEmptyAndInvalidRequests(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	got, err := s.Submit(Spec{Op: OpMax}, nil)
+	got, err := s.SubmitCtx(context.Background(), Spec{Op: OpMax}, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty request = (%v, %v), want ([], nil)", got, err)
 	}
-	if _, err := s.Submit(Spec{Op: opCount}, []int64{1}); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.SubmitCtx(context.Background(), Spec{Op: opCount}, []int64{1}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("invalid op error = %v, want ErrBadRequest", err)
 	}
 }
@@ -322,16 +349,16 @@ func TestUnfusedConfigServesEveryRequestAlone(t *testing.T) {
 	// MaxBatchRequests=1 is the unfused baseline: batches == requests.
 	s := New(Config{MaxBatchRequests: 1, QueueLimit: 256})
 	const K = 32
-	futures := make([]*Future, K)
+	futures := make([]*future, K)
 	for i := range futures {
-		f, err := s.SubmitAsync(Spec{Op: OpSum}, []int64{1, 2})
+		f, err := s.submitReq(context.Background(), request{spec: Spec{Op: OpSum}, data: []int64{1, 2}})
 		if err != nil {
-			t.Fatalf("SubmitAsync: %v", err)
+			t.Fatalf("submitReq: %v", err)
 		}
 		futures[i] = f
 	}
 	for _, f := range futures {
-		if _, err := f.Wait(); err != nil {
+		if _, err := f.wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

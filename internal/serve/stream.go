@@ -16,7 +16,7 @@ import (
 // wire message (or one batch) as a sequence of chunks, and the server
 // carries the running prefix — the "block sum" of every prior chunk —
 // from one chunk to the next. Chunk k's kernel pass is seeded with the
-// carry (see runGroup: the carry is injected ahead of the chunk at the
+// carry (see runGroup: the view kernels fold the carry in at the
 // segment head, so the ordinary segmented kernels do the stitching),
 // its result streams back immediately, and the updated carry is all
 // the state the server retains: O(1) per stream, independent of how
@@ -79,12 +79,12 @@ func (s *Server) OpenStream(spec Spec, tenant string) (*Stream, error) {
 	if spec.Op == OpUser {
 		// seeded marks the request as a stream chunk, which also enforces
 		// the width-1 rule at resolution.
-		r := Req{Spec: spec, Tenant: tenant, seeded: true}
+		r := request{spec: spec, tenant: tenant, seeded: true}
 		if err := s.resolveUserOp(&r); err != nil {
 			s.stats.rejected.Add(1)
 			return nil, err
 		}
-		spec = r.Spec
+		spec = r.spec
 	}
 	s.mu.RLock()
 	closed := s.closed
@@ -123,10 +123,10 @@ func (st *Stream) Push(ctx context.Context, chunk []int64) ([]int64, error) {
 	if len(chunk) == 0 {
 		return []int64{}, nil
 	}
-	res, err := st.srv.scanReq(ctx, Req{
-		Spec:   st.spec,
-		Data:   chunk,
-		Tenant: st.tenant,
+	res, err := st.srv.scanReq(ctx, request{
+		spec:   st.spec,
+		data:   chunk,
+		tenant: st.tenant,
 		seeded: true,
 		carry:  st.carry,
 	})

@@ -395,9 +395,9 @@ func TestNetStreamIdleTTL(t *testing.T) {
 func TestNetResponseBudget(t *testing.T) {
 	const budget = 4096
 	ns := startNetCfg(t, Config{MaxWait: 20 * time.Microsecond}, NetConfig{MaxLineBytes: budget})
-	c, err := DialMaxLine(ns.Addr(), budget)
+	c, err := DialMaxLineProto(ns.Addr(), budget, ProtoJSON)
 	if err != nil {
-		t.Fatalf("DialMaxLine: %v", err)
+		t.Fatalf("DialMaxLineProto: %v", err)
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(5))

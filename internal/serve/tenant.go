@@ -24,13 +24,13 @@ type tenantQueues struct {
 type tenantFIFO struct {
 	name   string
 	weight int
-	futs   []*Future
+	futs   []*future
 	head   int
 }
 
 func (q *tenantFIFO) len() int { return len(q.futs) - q.head }
 
-func (q *tenantFIFO) popFront() *Future {
+func (q *tenantFIFO) popFront() *future {
 	f := q.futs[q.head]
 	q.futs[q.head] = nil // release for GC
 	q.head++
@@ -64,7 +64,7 @@ func (t *tenantQueues) empty() bool { return t.n == 0 }
 // pointer means a newcomer waits at most one full round, and every
 // continuously-pending tenant is served at least once per total-weight
 // pops.
-func (t *tenantQueues) push(f *Future) {
+func (t *tenantQueues) push(f *future) {
 	q := t.qs[f.tenant]
 	if q == nil {
 		w := t.weights[f.tenant]
@@ -91,7 +91,7 @@ func (t *tenantQueues) push(f *Future) {
 // or nil when nothing is pending. The current tenant keeps the slot
 // until its per-round credit (= weight) is spent or its FIFO empties;
 // then the pick advances to the next tenant in ring order.
-func (t *tenantQueues) pop() *Future {
+func (t *tenantQueues) pop() *future {
 	if t.n == 0 {
 		return nil
 	}

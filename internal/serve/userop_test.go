@@ -80,9 +80,9 @@ func TestUserOpRegisterAndScanBothCodecs(t *testing.T) {
 
 	for _, proto := range []string{ProtoJSON, ProtoBin} {
 		t.Run(proto, func(t *testing.T) {
-			c, err := DialProto(ns.Addr(), proto)
+			c, err := DialMaxLineProto(ns.Addr(), DefaultMaxLineBytes, proto)
 			if err != nil {
-				t.Fatalf("DialProto(%s): %v", proto, err)
+				t.Fatalf("DialMaxLineProto(%s): %v", proto, err)
 			}
 			defer c.Close()
 			tenant := "codec-" + proto
@@ -99,7 +99,7 @@ func TestUserOpRegisterAndScanBothCodecs(t *testing.T) {
 				kind Kind
 				dir  Dir
 			}{{Inclusive, Forward}, {Exclusive, Forward}, {Inclusive, Backward}, {Exclusive, Backward}} {
-				got, err := c.ScanTenantCtx(context.Background(), "user:gcd", tc.kind.String(), tc.dir.String(), tenant, data)
+				got, err := c.ScanPinned(context.Background(), "user:gcd", tc.kind.String(), tc.dir.String(), tenant, 0, data)
 				if err != nil {
 					t.Fatalf("user:gcd %s %s: %v", tc.kind, tc.dir, err)
 				}
@@ -234,12 +234,12 @@ func TestUserOpUnknownIsBadRequestNotBadFrame(t *testing.T) {
 		{ProtoBin, "user:"},
 	} {
 		t.Run(tc.proto+"/"+tc.op, func(t *testing.T) {
-			c, err := DialProto(ns.Addr(), tc.proto)
+			c, err := DialMaxLineProto(ns.Addr(), DefaultMaxLineBytes, tc.proto)
 			if err != nil {
-				t.Fatalf("DialProto: %v", err)
+				t.Fatalf("DialMaxLineProto: %v", err)
 			}
 			defer c.Close()
-			_, err = c.ScanTenantCtx(context.Background(), tc.op, "", "", "t", []int64{1, 2, 3})
+			_, err = c.ScanPinned(context.Background(), tc.op, "", "", "t", 0, []int64{1, 2, 3})
 			if !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("%s scan of %q = %v, want ErrBadRequest", tc.proto, tc.op, err)
 			}
@@ -296,7 +296,7 @@ func TestUserOpBudgetMidBatchIsolation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			data := []int64{int64(i), 1, 2, 3}
-			got, err := c.ScanTenantCtx(ctx, "user:spin", "inclusive", "", "t", data)
+			got, err := c.ScanPinned(ctx, "user:spin", "inclusive", "", "t", 0, data)
 			if err != nil {
 				errs[i] = err
 				return
@@ -312,7 +312,7 @@ func TestUserOpBudgetMidBatchIsolation(t *testing.T) {
 		defer wg.Done()
 		// The budget trips when the accumulator (left argument) hits
 		// 424242: 424242 then one more element to combine with.
-		_, err := c.ScanTenantCtx(ctx, "user:spin", "inclusive", "", "t", []int64{424242, 1})
+		_, err := c.ScanPinned(ctx, "user:spin", "inclusive", "", "t", 0, []int64{424242, 1})
 		if !errors.Is(err, ErrOpBudget) {
 			errs[good] = fmt.Errorf("poisoned request = %v, want ErrOpBudget", err)
 		}
@@ -324,7 +324,7 @@ func TestUserOpBudgetMidBatchIsolation(t *testing.T) {
 		}
 	}
 	// The server survives and keeps serving the same op.
-	if _, err := c.ScanTenantCtx(ctx, "user:spin", "", "", "t", []int64{5, 6}); err != nil {
+	if _, err := c.ScanPinned(ctx, "user:spin", "", "", "t", 0, []int64{5, 6}); err != nil {
 		t.Fatalf("scan after budget trip: %v", err)
 	}
 }
@@ -345,7 +345,7 @@ func TestUserOpWidth2Argmax(t *testing.T) {
 	}
 	// pairs: (3,0) (9,1) (9,2) (4,3)  — 9 first seen at index 1 wins ties.
 	data := []int64{3, 0, 9, 1, 9, 2, 4, 3}
-	got, err := c.ScanTenantCtx(ctx, "user:argmax", "inclusive", "", "t", data)
+	got, err := c.ScanPinned(ctx, "user:argmax", "inclusive", "", "t", 0, data)
 	if err != nil {
 		t.Fatalf("argmax scan: %v", err)
 	}
@@ -354,7 +354,7 @@ func TestUserOpWidth2Argmax(t *testing.T) {
 		t.Fatalf("argmax scan = %v, want %v", got, want)
 	}
 	// An odd element count is not a whole number of tuples.
-	if _, err := c.ScanTenantCtx(ctx, "user:argmax", "", "", "t", []int64{1, 2, 3}); !errors.Is(err, ErrBadRequest) {
+	if _, err := c.ScanPinned(ctx, "user:argmax", "", "", "t", 0, []int64{1, 2, 3}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("ragged tuple scan = %v, want ErrBadRequest", err)
 	}
 }

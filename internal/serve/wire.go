@@ -223,12 +223,6 @@ type WireRequest struct {
 	From   int      `json:"from,omitempty"`
 	XVal   int64    `json:"xval,omitempty"`
 	XReset bool     `json:"xreset,omitempty"`
-	// WantAck marks a stream_open whose sender understands extended acks
-	// (resume token + flow-control window). Never serialized: the JSON
-	// decoder sets it for every stream_open (unknown response fields are
-	// ignored by old JSON clients), the binary decoder only for the
-	// FStreamOpen2 frame (old binary clients would choke on FAck).
-	WantAck bool `json:"-"`
 }
 
 // WireResponse is one scan result (or error) on the wire.

@@ -10,37 +10,24 @@ import (
 	"scans/internal/combine"
 )
 
-// BenchmarkServeZeroCopyVsFlatten pits the zero-copy serving path
-// (view kernels over request-owned buffers + pooled futures/outputs)
-// against the pre-zero-copy flatten baseline (fuse every payload into
-// one src/flags vector, results as subslices of a fresh output) at
-// ~250 requests per batch. Run with -benchmem: the flatten arm pays
-// O(batch elements) in copies and garbage per batch; the zero-copy arm
-// should hold steady-state allocs/op near the goroutine-and-scheduling
-// floor. EXPERIMENTS.md records the before/after table.
-func BenchmarkServeZeroCopyVsFlatten(b *testing.B) {
-	b.Run("zerocopy", func(b *testing.B) {
-		benchBatchedServe(b, Config{})
-	})
-	b.Run("flatten", func(b *testing.B) {
-		benchBatchedServe(b, Config{legacyFlatten: true})
-	})
-}
-
-// benchBatchedServe drives waves of 250 concurrent Submits so each
-// wave fuses into about one batch (the acceptance shape: 250
-// req/batch, 64 elements each).
-func benchBatchedServe(b *testing.B, cfg Config) {
+// BenchmarkServeZeroCopy measures the serving path (view kernels over
+// request-owned buffers + pooled futures/outputs) at ~250 requests per
+// batch: waves of 250 concurrent SubmitCtx calls, so each wave fuses
+// into about one batch (64 elements each). Run with -benchmem:
+// steady-state allocs/op should sit near the goroutine-and-scheduling
+// floor. EXPERIMENTS.md records the numbers.
+func BenchmarkServeZeroCopy(b *testing.B) {
 	const (
 		submitters = 250
 		elems      = 64
 	)
-	cfg.MinBatchRequests = submitters
-	cfg.MaxBatchRequests = submitters
-	cfg.MaxBatchElems = submitters * elems
-	cfg.MaxWait = 200 * time.Microsecond
-	cfg.QueueLimit = 4 * submitters
-	s := New(cfg)
+	s := New(Config{
+		MinBatchRequests: submitters,
+		MaxBatchRequests: submitters,
+		MaxBatchElems:    submitters * elems,
+		MaxWait:          200 * time.Microsecond,
+		QueueLimit:       4 * submitters,
+	})
 	defer s.Close()
 
 	spec := Spec{Op: OpSum, Kind: Inclusive}
@@ -49,13 +36,6 @@ func benchBatchedServe(b *testing.B, cfg Config) {
 		payloads[g] = make([]int64, elems)
 		for i := range payloads[g] {
 			payloads[g][i] = int64(g + i)
-		}
-	}
-	release := func(res []int64) {
-		// Zero-copy results are arena-backed and caller-owned; flatten
-		// results are plain garbage and must NOT enter the pools.
-		if !cfg.legacyFlatten && len(res) > 0 {
-			arena.PutInt64s(res)
 		}
 	}
 	// Persistent submitter goroutines triggered once per wave, so the
@@ -67,11 +47,11 @@ func benchBatchedServe(b *testing.B, cfg Config) {
 		trigs[g] = make(chan struct{}, 1)
 		go func(g int) {
 			for range trigs[g] {
-				res, err := s.Submit(spec, payloads[g])
+				res, err := s.SubmitCtx(context.Background(), spec, payloads[g])
 				if err != nil {
 					b.Error(err)
 				} else {
-					release(res)
+					arena.PutInt64s(res)
 				}
 				wg.Done()
 			}
@@ -104,8 +84,7 @@ func benchBatchedServe(b *testing.B, cfg Config) {
 // batch slice, per-executor scratch, arena-backed output. The measured
 // steady state is ~2 allocs/op (scheduler noise around the batcher's
 // yield loop); 4 leaves headroom for jitter while still failing loudly
-// if a buffer copy or per-request allocation sneaks back in (the
-// flatten path costs ~5 extra allocs/op even at occupancy 1).
+// if a buffer copy or per-request allocation sneaks back in.
 const maxSteadyScanAllocs = 4
 
 // TestAllocsSteadyStateScan is the alloc-regression guard

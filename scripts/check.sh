@@ -12,6 +12,16 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l"
+# Every Go file outside the benchmark's build cache must be
+# gofmt-formatted; any file gofmt would rewrite fails the gate.
+unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race ./...
 
