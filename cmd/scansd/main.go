@@ -96,7 +96,6 @@ func main() {
 		maxWait   = flag.Duration("max-wait", 100*time.Microsecond, "batching window: how long the first request waits for company")
 		queue     = flag.Int("queue", 4096, "bounded submission queue (full queue rejects with an overload error)")
 		queueAge  = flag.Duration("queue-age", time.Second, "shed queued requests older than this before execution (0 = never shed)")
-		kworkers  = flag.Int("kernel-workers", 0, "goroutines per segmented kernel pass (0 = GOMAXPROCS)")
 		executors = flag.Int("executors", 0, "batch executor pool size (0 = GOMAXPROCS)")
 
 		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
@@ -222,7 +221,6 @@ func main() {
 			MaxWait:          *maxWait,
 			QueueLimit:       *queue,
 			QueueAgeLimit:    *queueAge,
-			Workers:          *kworkers,
 			Executors:        *executors,
 			OpCap:            *opCap,
 			VMDispatch:       *vmDisp,

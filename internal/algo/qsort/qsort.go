@@ -159,9 +159,15 @@ func pickPivots(m *core.Machine, rng *rand.Rand, a []float64, segFlags []bool, p
 	}
 	// Random: every processor draws a random number (one elementwise
 	// step); the head's draw, modulo the segment length, selects the
-	// pivot rank.
+	// pivot rank. rng is not safe for concurrent use, so the draws are
+	// taken serially in index order — the order a 1-worker machine
+	// draws in — and the elementwise step hands each processor its own.
+	drawn := make([]int, n)
+	for i := range drawn {
+		drawn[i] = rng.Intn(1 << 30)
+	}
 	draws := make([]int, n)
-	core.Par(m, n, func(i int) { draws[i] = rng.Intn(1 << 30) })
+	core.Par(m, n, func(i int) { draws[i] = drawn[i] })
 	headDraw := make([]int, n)
 	core.SegCopy(m, headDraw, draws, segFlags)
 	ones := make([]int, n)

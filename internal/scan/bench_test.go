@@ -2,6 +2,7 @@ package scan
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -117,5 +118,45 @@ func BenchmarkReduceParallel(b *testing.B) {
 				ReduceParallel(Add[int]{}, a, p)
 			}
 		})
+	}
+}
+
+// BenchmarkSegScanViews times the exclusive view kernel for each builtin
+// int64 monoid over one 2^20-element view (8 MiB read, 8 MiB written,
+// past L2), at 1 and 2 workers. The copy row moves the same bytes
+// between the same buffers: ns/elem over copy's is the kernel's
+// roofline ratio on this host.
+func BenchmarkSegScanViews(b *testing.B) {
+	const n = 1 << 20
+	src := make([]int64, n)
+	for i := range src {
+		src[i] = int64(i*2654435761) % 1000
+	}
+	dst := make([]int64, n)
+	views := []View[int64]{{Dst: dst, Src: src}}
+	b.Run("copy", func(b *testing.B) {
+		b.SetBytes(16 * n)
+		for i := 0; i < b.N; i++ {
+			copy(dst, src)
+		}
+	})
+	ops := []struct {
+		name string
+		run  func(p int)
+	}{
+		{"add", func(p int) { SegScanViewsExclusive(Add[int64]{}, views, p) }},
+		{"mul", func(p int) { SegScanViewsExclusive(Mul[int64]{}, views, p) }},
+		{"max", func(p int) { SegScanViewsExclusive(Max[int64]{Id: math.MinInt64}, views, p) }},
+		{"min", func(p int) { SegScanViewsExclusive(Min[int64]{Id: math.MaxInt64}, views, p) }},
+	}
+	for _, op := range ops {
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/p=%d", op.name, p), func(b *testing.B) {
+				b.SetBytes(16 * n)
+				for i := 0; i < b.N; i++ {
+					op.run(p)
+				}
+			})
+		}
 	}
 }

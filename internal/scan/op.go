@@ -5,7 +5,10 @@
 // The package is the performance substrate of this repository's
 // reproduction of Blelloch, "Scans as Primitive Parallel Operations"
 // (ICPP 1987). The paper's two primitive scans — integer +-scan and
-// max-scan — have hand-specialized kernels; everything else is generic.
+// max-scan — have hand-specialized kernels (ExclusiveSumInts,
+// ExclusiveMaxInts), and the segmented view kernels that serve requests
+// (SegScanViews*) run hand-specialized loops for the four int64 monoids
+// Add, Mul, Max and Min; everything else is generic.
 //
 // All scans in this package follow the paper's convention: a scan of
 // [a0, a1, ..., an-1] with operator ⊕ and identity i returns the

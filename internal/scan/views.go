@@ -69,97 +69,12 @@ func locateViewStart[T any](views []View[T], g int) (vi, viewStart int) {
 // GOMAXPROCS). Equivalent to flattening the views into one vector with
 // a segment head per view and running SegExclusiveParallel.
 func SegScanViewsExclusive[T any, O Op[T]](op O, views []View[T], p int) {
-	n := viewsTotal("SegScanViewsExclusive", views)
-	p = Workers(p)
-	if p <= 1 || n < parallelThreshold {
-		for i := range views {
-			vw := &views[i]
-			acc := viewSeed(op, vw)
-			for k, v := range vw.Src {
-				vw.Dst[k] = acc
-				acc = op.Combine(acc, v)
-			}
-		}
-		return
-	}
-	if p > n {
-		p = n
-	}
-	carries := segViewCarriesForward(op, views, n, p)
-	blocks(n, p, func(b, lo, hi int) {
-		vi, viewStart := locateViewStart(views, lo)
-		acc := carries[b].v
-		for g := lo; g < hi; {
-			vw := &views[vi]
-			if len(vw.Src) == 0 {
-				vi++
-				continue
-			}
-			s := g - viewStart
-			e := len(vw.Src)
-			if viewStart+e > hi {
-				e = hi - viewStart
-			}
-			if s == 0 {
-				acc = viewSeed(op, vw)
-			}
-			for k := s; k < e; k++ {
-				v := vw.Src[k]
-				vw.Dst[k] = acc
-				acc = op.Combine(acc, v)
-			}
-			g = viewStart + e
-			viewStart += len(vw.Src)
-			vi++
-		}
-	})
+	segScanViews("SegScanViewsExclusive", op, views, p, false, false)
 }
 
 // SegScanViewsInclusive is the inclusive form of SegScanViewsExclusive.
 func SegScanViewsInclusive[T any, O Op[T]](op O, views []View[T], p int) {
-	n := viewsTotal("SegScanViewsInclusive", views)
-	p = Workers(p)
-	if p <= 1 || n < parallelThreshold {
-		for i := range views {
-			vw := &views[i]
-			acc := viewSeed(op, vw)
-			for k, v := range vw.Src {
-				acc = op.Combine(acc, v)
-				vw.Dst[k] = acc
-			}
-		}
-		return
-	}
-	if p > n {
-		p = n
-	}
-	carries := segViewCarriesForward(op, views, n, p)
-	blocks(n, p, func(b, lo, hi int) {
-		vi, viewStart := locateViewStart(views, lo)
-		acc := carries[b].v
-		for g := lo; g < hi; {
-			vw := &views[vi]
-			if len(vw.Src) == 0 {
-				vi++
-				continue
-			}
-			s := g - viewStart
-			e := len(vw.Src)
-			if viewStart+e > hi {
-				e = hi - viewStart
-			}
-			if s == 0 {
-				acc = viewSeed(op, vw)
-			}
-			for k := s; k < e; k++ {
-				acc = op.Combine(acc, vw.Src[k])
-				vw.Dst[k] = acc
-			}
-			g = viewStart + e
-			viewStart += len(vw.Src)
-			vi++
-		}
-	})
+	segScanViews("SegScanViewsInclusive", op, views, p, false, true)
 }
 
 // SegScanViewsExclusiveBackward computes, for each view independently,
@@ -168,24 +83,108 @@ func SegScanViewsInclusive[T any, O Op[T]](op O, views []View[T], p int) {
 // enters at the tail (the phantom-appended-element model of the flat
 // path, without the slot).
 func SegScanViewsExclusiveBackward[T any, O Op[T]](op O, views []View[T], p int) {
-	n := viewsTotal("SegScanViewsExclusiveBackward", views)
+	segScanViews("SegScanViewsExclusiveBackward", op, views, p, true, false)
+}
+
+// SegScanViewsInclusiveBackward is the inclusive form of
+// SegScanViewsExclusiveBackward.
+func SegScanViewsInclusiveBackward[T any, O Op[T]](op O, views []View[T], p int) {
+	segScanViews("SegScanViewsInclusiveBackward", op, views, p, true, true)
+}
+
+// segScanViews runs one view kernel. The op's run loops are chosen once
+// here, from its type: the builtin int64 monoids get the concrete loops
+// of viewloops.go, where the combine inlines; every other op falls back
+// to opLoops, which pays a generic op.Combine call per element.
+func segScanViews[T any, O Op[T]](name string, op O, views []View[T], p int, backward, inclusive bool) {
+	n := viewsTotal(name, views)
 	p = Workers(p)
+	if iv, ok := any(views).([]View[int64]); ok {
+		switch o := any(op).(type) {
+		case Add[int64]:
+			runViews(o, addLoops{}, iv, n, p, backward, inclusive)
+			return
+		case Mul[int64]:
+			runViews(o, mulLoops{}, iv, n, p, backward, inclusive)
+			return
+		case Max[int64]:
+			runViews(o, maxLoops{}, iv, n, p, backward, inclusive)
+			return
+		case Min[int64]:
+			runViews(o, minLoops{}, iv, n, p, backward, inclusive)
+			return
+		}
+	}
+	runViews(op, opLoops[T, O]{op}, views, n, p, backward, inclusive)
+}
+
+// runViews runs one view kernel: serial below parallelThreshold (or at
+// p <= 1), otherwise the blocked three-phase pass.
+func runViews[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n, p int, backward, inclusive bool) {
 	if p <= 1 || n < parallelThreshold {
 		for i := range views {
 			vw := &views[i]
-			acc := viewSeed(op, vw)
-			for k := len(vw.Src) - 1; k >= 0; k-- {
-				v := vw.Src[k]
-				vw.Dst[k] = acc
-				acc = op.Combine(v, acc)
-			}
+			scanRun(l, backward, inclusive, vw.Dst, vw.Src, viewSeed(op, vw))
 		}
 		return
 	}
 	if p > n {
 		p = n
 	}
-	carries := segViewCarriesBackward(op, views, n, p)
+	if backward {
+		viewsBackward(op, l, views, n, p, inclusive)
+	} else {
+		viewsForward(op, l, views, n, p, inclusive)
+	}
+}
+
+// scanRun scans one contiguous run of a view from acc and returns the
+// accumulator it ends with.
+func scanRun[T any, L viewLoops[T]](l L, backward, inclusive bool, dst, src []T, acc T) T {
+	switch {
+	case !backward && !inclusive:
+		return l.exclusive(dst, src, acc)
+	case !backward:
+		return l.inclusive(dst, src, acc)
+	case !inclusive:
+		return l.exclusiveBack(dst, src, acc)
+	default:
+		return l.inclusiveBack(dst, src, acc)
+	}
+}
+
+// viewsForward is phase 3 of the forward view scans: each block rescans
+// its elements from the carry open at its left edge, restarting from
+// the view's seed at every view head inside the block.
+func viewsForward[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n, p int, inclusive bool) {
+	carries := segViewCarriesForward(op, l, views, n, p)
+	blocks(n, p, func(b, lo, hi int) {
+		vi, viewStart := locateViewStart(views, lo)
+		acc := carries[b].v
+		for g := lo; g < hi; {
+			vw := &views[vi]
+			if len(vw.Src) == 0 {
+				vi++
+				continue
+			}
+			s := g - viewStart
+			e := min(len(vw.Src), hi-viewStart)
+			if s == 0 {
+				acc = viewSeed(op, vw)
+			}
+			acc = scanRun(l, false, inclusive, vw.Dst[s:e], vw.Src[s:e], acc)
+			g = viewStart + e
+			viewStart += len(vw.Src)
+			vi++
+		}
+	})
+}
+
+// viewsBackward is the backward mirror of viewsForward: each block
+// walks right to left from the carry open at its RIGHT edge, folding a
+// seeded view's carry in when it enters the view at its tail.
+func viewsBackward[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n, p int, inclusive bool) {
+	carries := segViewCarriesBackward(op, l, views, n, p)
 	blocks(n, p, func(b, lo, hi int) {
 		vi, viewStart := locateViewStart(views, hi-1)
 		acc := carries[b].v
@@ -196,75 +195,14 @@ func SegScanViewsExclusiveBackward[T any, O Op[T]](op O, views []View[T], p int)
 				viewStart -= len(views[vi].Src)
 				continue
 			}
-			s := lo - viewStart
-			if s < 0 {
-				s = 0
-			}
+			s := max(lo-viewStart, 0)
 			e := g - viewStart
 			if e == len(vw.Src) && vw.Seeded {
 				// Entering the view at its tail: fold the carry in, as
 				// if a phantom element held it just past the last slot.
 				acc = op.Combine(vw.Carry, acc)
 			}
-			for k := e - 1; k >= s; k-- {
-				v := vw.Src[k]
-				vw.Dst[k] = acc
-				acc = op.Combine(v, acc)
-			}
-			if s == 0 {
-				acc = op.Identity()
-			}
-			g = viewStart + s
-			vi--
-			if vi >= 0 {
-				viewStart -= len(views[vi].Src)
-			}
-		}
-	})
-}
-
-// SegScanViewsInclusiveBackward is the inclusive form of
-// SegScanViewsExclusiveBackward.
-func SegScanViewsInclusiveBackward[T any, O Op[T]](op O, views []View[T], p int) {
-	n := viewsTotal("SegScanViewsInclusiveBackward", views)
-	p = Workers(p)
-	if p <= 1 || n < parallelThreshold {
-		for i := range views {
-			vw := &views[i]
-			acc := viewSeed(op, vw)
-			for k := len(vw.Src) - 1; k >= 0; k-- {
-				acc = op.Combine(vw.Src[k], acc)
-				vw.Dst[k] = acc
-			}
-		}
-		return
-	}
-	if p > n {
-		p = n
-	}
-	carries := segViewCarriesBackward(op, views, n, p)
-	blocks(n, p, func(b, lo, hi int) {
-		vi, viewStart := locateViewStart(views, hi-1)
-		acc := carries[b].v
-		for g := hi; g > lo; {
-			vw := &views[vi]
-			if len(vw.Src) == 0 {
-				vi--
-				viewStart -= len(views[vi].Src)
-				continue
-			}
-			s := lo - viewStart
-			if s < 0 {
-				s = 0
-			}
-			e := g - viewStart
-			if e == len(vw.Src) && vw.Seeded {
-				acc = op.Combine(vw.Carry, acc)
-			}
-			for k := e - 1; k >= s; k-- {
-				acc = op.Combine(vw.Src[k], acc)
-				vw.Dst[k] = acc
-			}
+			acc = scanRun(l, true, inclusive, vw.Dst[s:e], vw.Src[s:e], acc)
 			if s == 0 {
 				acc = op.Identity()
 			}
@@ -282,7 +220,7 @@ func SegScanViewsInclusiveBackward[T any, O Op[T]](op O, views []View[T], p int)
 // inside the block restarts the fold from the view's seed and marks the
 // summary crossed), then the p summaries are scanned exclusively,
 // leaving carries[b] = the accumulation open at block b's left edge.
-func segViewCarriesForward[T any, O Op[T]](op O, views []View[T], n, p int) []segPair[T] {
+func segViewCarriesForward[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n, p int) []segPair[T] {
 	sop := segOp[T, O]{op}
 	carries := make([]segPair[T], p)
 	blocks(n, p, func(b, lo, hi int) {
@@ -295,21 +233,11 @@ func segViewCarriesForward[T any, O Op[T]](op O, views []View[T], n, p int) []se
 				continue
 			}
 			s := g - viewStart
-			e := len(vw.Src)
-			if viewStart+e > hi {
-				e = hi - viewStart
-			}
+			e := min(len(vw.Src), hi-viewStart)
 			if s == 0 {
-				a := viewSeed(op, vw)
-				for k := 0; k < e; k++ {
-					a = op.Combine(a, vw.Src[k])
-				}
-				acc = segPair[T]{v: a, crossed: true}
+				acc = segPair[T]{v: l.fold(viewSeed(op, vw), vw.Src[:e]), crossed: true}
 			} else {
-				a := vw.Src[s]
-				for k := s + 1; k < e; k++ {
-					a = op.Combine(a, vw.Src[k])
-				}
+				a := l.fold(vw.Src[s], vw.Src[s+1:e])
 				acc = segPair[T]{v: op.Combine(acc.v, a), crossed: acc.crossed}
 			}
 			g = viewStart + e
@@ -329,7 +257,7 @@ func segViewCarriesForward[T any, O Op[T]](op O, views []View[T], n, p int) []se
 // combine — a head anywhere in the left operand hides everything to its
 // right — leaving carries[b] = the accumulation open at block b's RIGHT
 // edge.
-func segViewCarriesBackward[T any, O Op[T]](op O, views []View[T], n, p int) []segPair[T] {
+func segViewCarriesBackward[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n, p int) []segPair[T] {
 	carries := make([]segPair[T], p)
 	blocks(n, p, func(b, lo, hi int) {
 		vi, viewStart := locateViewStart(views, hi-1)
@@ -342,17 +270,12 @@ func segViewCarriesBackward[T any, O Op[T]](op O, views []View[T], n, p int) []s
 				viewStart -= len(views[vi].Src)
 				continue
 			}
-			s := lo - viewStart
-			if s < 0 {
-				s = 0
-			}
+			s := max(lo-viewStart, 0)
 			e := g - viewStart
 			if e == len(vw.Src) && vw.Seeded {
 				acc = op.Combine(vw.Carry, acc)
 			}
-			for k := e - 1; k >= s; k-- {
-				acc = op.Combine(vw.Src[k], acc)
-			}
+			acc = l.foldBack(vw.Src[s:e], acc)
 			if s == 0 {
 				crossed = true
 				acc = op.Identity()

@@ -65,6 +65,25 @@ func runFlatVariant(v int, op Op[int64], dst, src []int64, flags []bool, p int) 
 	}
 }
 
+// lastNonZero is a non-commutative int64 monoid: a ⊕ b = b unless b is
+// 0, identity 0. It is not a builtin, so the view kernels run it through
+// the generic per-element fallback, and swapped operands in a backward
+// loop change its answer.
+type lastNonZero struct{}
+
+func (lastNonZero) Identity() int64 { return 0 }
+
+func (lastNonZero) Combine(a, b int64) int64 {
+	if b != 0 {
+		return b
+	}
+	return a
+}
+
+// viewTestOps covers both loop families of the view kernels: the four
+// builtin int64 monoids take the inlined loops, lastNonZero the generic
+// fallback. The flat reference kernels call op.Combine per element for
+// every op, so the oracle never checks a loop against itself.
 var viewTestOps = []struct {
 	name string
 	op   Op[int64]
@@ -73,6 +92,7 @@ var viewTestOps = []struct {
 	{"mul", Mul[int64]{}},
 	{"max", Max[int64]{Id: math.MinInt64}},
 	{"min", Min[int64]{Id: math.MaxInt64}},
+	{"lastnonzero", lastNonZero{}},
 }
 
 // checkViewsMatchFlattened runs every variant × op over the layout and
@@ -178,6 +198,36 @@ func TestSegScanViewsSeparateDst(t *testing.T) {
 	for i, v := range []int64{1, 2, 3, 4} {
 		if src[i] != v {
 			t.Fatalf("src mutated at %d: %d", i, src[i])
+		}
+	}
+}
+
+// TestSegScanViewsAllocFree pins that the serial view kernels allocate
+// nothing for the builtin int64 monoids: choosing the run loops from the
+// op's type boxes nothing that outlives the call.
+func TestSegScanViewsAllocFree(t *testing.T) {
+	layout := randLayout(rand.New(rand.NewSource(43)), 24, 300)
+	layout[0].Seeded = true
+	checkViewKernelsAllocFree(t, "add", Add[int64]{}, layout)
+	checkViewKernelsAllocFree(t, "mul", Mul[int64]{}, layout)
+	checkViewKernelsAllocFree(t, "max", Max[int64]{Id: math.MinInt64}, layout)
+	checkViewKernelsAllocFree(t, "min", Min[int64]{Id: math.MaxInt64}, layout)
+}
+
+// checkViewKernelsAllocFree runs each of the four view kernels at p=1
+// with op's concrete type, as the serving path calls them, and fails on
+// any allocation.
+func checkViewKernelsAllocFree[O Op[int64]](t *testing.T, name string, op O, views []View[int64]) {
+	t.Helper()
+	kernels := []func(O, []View[int64], int){
+		SegScanViewsExclusive[int64, O],
+		SegScanViewsInclusive[int64, O],
+		SegScanViewsExclusiveBackward[int64, O],
+		SegScanViewsInclusiveBackward[int64, O],
+	}
+	for v, kernel := range kernels {
+		if got := testing.AllocsPerRun(20, func() { kernel(op, views, 1) }); got != 0 {
+			t.Errorf("op %s variant %d: %v allocs per call, want 0", name, v, got)
 		}
 	}
 }

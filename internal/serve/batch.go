@@ -129,8 +129,10 @@ func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (n, 
 	}
 	// One kernel pass for the whole group, straight over the request
 	// payloads (Src) into per-request arena buffers (Dst): no fused
-	// vector, no flags, no copies.
-	runSegmentedViews(kspec, sc.views, s.cfg.Workers)
+	// vector, no flags, no copies. The pass runs on this executor's
+	// goroutine; parallelism comes from the executor pool running other
+	// groups and batches, not from splitting one pass.
+	runSegmentedViews(kspec, sc.views)
 	for i, f := range reqs {
 		if f.complete(sc.views[i].Dst, nil) {
 			served++
@@ -304,17 +306,18 @@ func execUserView(p *combine.Program, fr *combine.Frame, spec Spec, dst, src []i
 }
 
 // runSegmentedViews dispatches one fused (op, kind, direction) pass to
-// the matching view kernel from internal/scan.
-func runSegmentedViews(spec Spec, views []scan.View[int64], workers int) {
+// the matching view kernel from internal/scan, run serially on the
+// calling goroutine.
+func runSegmentedViews(spec Spec, views []scan.View[int64]) {
 	switch spec.Op {
 	case OpSum:
-		runMonoidViews(scan.Add[int64]{}, spec, views, workers)
+		runMonoidViews(scan.Add[int64]{}, spec, views)
 	case OpMul:
-		runMonoidViews(scan.Mul[int64]{}, spec, views, workers)
+		runMonoidViews(scan.Mul[int64]{}, spec, views)
 	case OpMax:
-		runMonoidViews(scan.Max[int64]{Id: math.MinInt64}, spec, views, workers)
+		runMonoidViews(scan.Max[int64]{Id: math.MinInt64}, spec, views)
 	case OpMin:
-		runMonoidViews(scan.Min[int64]{Id: math.MaxInt64}, spec, views, workers)
+		runMonoidViews(scan.Min[int64]{Id: math.MaxInt64}, spec, views)
 	default:
 		panic("serve: runSegmentedViews: invalid op " + spec.Op.String())
 	}
@@ -322,15 +325,15 @@ func runSegmentedViews(spec Spec, views []scan.View[int64], workers int) {
 
 // runMonoidViews selects the view kernel for the spec's kind and
 // direction.
-func runMonoidViews[O scan.Op[int64]](op O, spec Spec, views []scan.View[int64], workers int) {
+func runMonoidViews[O scan.Op[int64]](op O, spec Spec, views []scan.View[int64]) {
 	switch {
 	case spec.Dir == Forward && spec.Kind == Exclusive:
-		scan.SegScanViewsExclusive(op, views, workers)
+		scan.SegScanViewsExclusive(op, views, 1)
 	case spec.Dir == Forward && spec.Kind == Inclusive:
-		scan.SegScanViewsInclusive(op, views, workers)
+		scan.SegScanViewsInclusive(op, views, 1)
 	case spec.Dir == Backward && spec.Kind == Exclusive:
-		scan.SegScanViewsExclusiveBackward(op, views, workers)
+		scan.SegScanViewsExclusiveBackward(op, views, 1)
 	default:
-		scan.SegScanViewsInclusiveBackward(op, views, workers)
+		scan.SegScanViewsInclusiveBackward(op, views, 1)
 	}
 }

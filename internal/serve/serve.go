@@ -14,8 +14,12 @@
 //
 // The pipeline is: submit → bounded queue (backpressure) → batcher
 // (one goroutine, owns the batching window and the per-tenant fair
-// pick) → executor pool (sized via scan.Workers) → segmented kernels
-// → futures.
+// pick) → executor pool (GOMAXPROCS goroutines by default) → segmented
+// view kernels, one serial pass per group on the executor's own
+// goroutine → futures. Parallelism is across batches and groups, never
+// inside one pass: on the hosts measured, splitting a pass over
+// workers cost more in synchronization and memory traffic than it won
+// (DESIGN.md §7).
 //
 // The failure model (see DESIGN.md "Failure model") is: admission is
 // where overload is rejected (ErrOverloaded), the batcher is where
@@ -319,10 +323,9 @@ type Config struct {
 	// Executors sizes the batch-executor worker pool; <= 0 means
 	// scan.Workers(0), i.e. GOMAXPROCS. Multiple executors pipeline:
 	// one batch can run kernels while the batcher assembles the next.
+	// Each group's kernel pass runs serially on its executor's
+	// goroutine, so the pool is the server's only source of parallelism.
 	Executors int
-	// Workers is the per-kernel goroutine count handed to the parallel
-	// segmented kernels; <= 0 means scan.Workers(0).
-	Workers int
 	// Faults is the chaos-injection hook: when non-nil, the server
 	// consults the fault.KernelSlow and fault.KernelPanic points inside
 	// each kernel pass. nil (the default) costs a nil check per batch.

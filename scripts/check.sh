@@ -12,6 +12,11 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== scanbench: go vet + go test"
+# scanbench/ is a module of its own, so go build ./... above never
+# compiles it; an API change in serve or scan could break it silently.
+(cd scanbench && go vet . && go test .)
+
 echo "== gofmt -l"
 # Every Go file outside the benchmark's build cache must be
 # gofmt-formatted; any file gofmt would rewrite fails the gate.
