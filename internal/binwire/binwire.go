@@ -76,6 +76,7 @@
 package binwire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -268,12 +269,18 @@ const tooBigPrefix = 9
 // RequestID and the connection must be torn down (the unread remainder
 // is not drained — the stream is already condemned). Any other error is
 // a connection-level failure.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+func ReadFrame(r *bufio.Reader, max int) ([]byte, error) {
+	// Peek, not ReadFull into a local array: the array would escape
+	// through the io.Reader interface and cost an allocation per frame.
+	lenb, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(lenb) > 0 {
+			err = io.ErrUnexpectedEOF // what ReadFull reports for a torn prefix
+		}
 		return nil, err
 	}
-	n := int(le.Uint32(lenb[:]))
+	n := int(le.Uint32(lenb))
+	r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
 	}

@@ -33,21 +33,24 @@ func (s *Server) runBatch(sc *execScratch, batch []*future) {
 	// scratch map and order slice are owned by this executor and reused
 	// batch to batch; per-spec slices keep their capacity across resets.
 	sc.order = sc.order[:0]
+	elems := 0
 	for _, f := range batch {
 		g := sc.groups[f.spec]
 		if len(g) == 0 {
 			sc.order = append(sc.order, f.spec)
 		}
 		sc.groups[f.spec] = append(g, f)
+		elems += len(f.data)
 	}
-	elems := 0
+	// Account the batch before any of its futures resolves, so a caller
+	// holding every answer sees every batch that produced one.
+	s.stats.record(len(batch), len(sc.order), elems)
 	for _, spec := range sc.order {
 		reqs := sc.groups[spec]
-		elems += s.runGroupSafe(sc, spec, reqs)
+		s.runGroupSafe(sc, spec, reqs)
 		clear(reqs) // drop future pointers so recycled futures aren't pinned
 		sc.groups[spec] = reqs[:0]
 	}
-	s.stats.record(len(batch), len(sc.order), elems)
 }
 
 // execScratch is one executor's reusable batch-assembly state: the
@@ -73,7 +76,7 @@ func newExecScratch() *execScratch {
 // staged in the scratch views go back to the arena — none were
 // delivered, because the scatter loop only runs after the whole kernel
 // pass succeeds.
-func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*future) (elems int) {
+func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*future) {
 	defer func() {
 		if r := recover(); r != nil {
 			for i := range sc.views {
@@ -84,11 +87,11 @@ func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*future) (elems
 			s.failBatch(reqs, r)
 		}
 	}()
-	return s.runGroup(sc, spec, reqs)
+	s.runGroup(sc, spec, reqs)
 }
 
 // runGroup fuses one Spec's requests into a single view-kernel pass and
-// scatters the results. Returns the number of fused elements.
+// scatters the results.
 //
 // Carry-seeded requests (stream chunks, future.seeded) set the view's
 // Carry/Seeded fields; the view kernels fold the carry in algebraically
@@ -96,7 +99,7 @@ func (s *Server) runGroupSafe(sc *execScratch, spec Spec, reqs []*future) (elems
 // request occupies no slot beyond its own payload. Streams are
 // forward-only (OpenStream rejects Backward), so a seeded future never
 // reaches a backward kernel.
-func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*future) int {
+func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*future) {
 	// Chaos hooks: a slow kernel stalls here (inside the executor, so
 	// queue-age shedding and deadline drops see realistic pressure); a
 	// kernel panic fires past this point and is caught by runGroupSafe.
@@ -105,21 +108,20 @@ func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*future) int {
 		panic("fault: injected kernel panic")
 	}
 	if spec.Op == OpUser {
-		return s.runUserGroup(sc, spec, reqs)
+		s.runUserGroup(sc, spec, reqs)
+		return
 	}
-	n, served := s.runViewsGroup(sc, spec, reqs)
-	s.stats.served.Add(uint64(served))
-	return n
+	s.stats.served.Add(uint64(s.runViewsGroup(sc, spec, reqs)))
 }
 
 // runViewsGroup stages one group's requests as views, runs a single
 // native kernel pass under kspec, and scatters the results. kspec may
 // differ from the futures' own Spec: promoted user ops run here under
-// the builtin kernel their program is structurally equal to.
-func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (n, served int) {
+// the builtin kernel their program is structurally equal to. It returns
+// how many futures it served.
+func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (served int) {
 	sc.views = sc.views[:0]
 	for _, f := range reqs {
-		n += len(f.data)
 		sc.views = append(sc.views, scan.View[int64]{
 			Dst:    arena.GetInt64s(len(f.data)),
 			Src:    f.data,
@@ -144,7 +146,7 @@ func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (n, 
 	}
 	clear(sc.views) // release Dst/Src references; buffers now owned by waiters
 	sc.views = sc.views[:0]
-	return n, served
+	return served
 }
 
 // promotedOp maps a registration's plan promotion to the builtin Op it
@@ -191,7 +193,7 @@ func promotedOp(reg *combine.Registered) (Op, bool) {
 // only its own future; the rest of the group is served normally.
 // Nothing here panics on VM errors, so a budget blowout never poisons
 // the batch.
-func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) int {
+func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 	reg := spec.reg
 	if reg == nil {
 		panic("serve: runUserGroup: user op " + spec.User + " reached the executor unbound")
@@ -200,13 +202,13 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) int {
 	if s.cfg.vmVector() {
 		if op, ok := promotedOp(reg); ok {
 			kspec := Spec{Op: op, Kind: spec.Kind, Dir: spec.Dir}
-			n, served := s.runViewsGroup(sc, kspec, reqs)
+			served := s.runViewsGroup(sc, kspec, reqs)
 			s.stats.served.Add(uint64(served))
 			s.stats.vmPromoted.Add(uint64(len(reqs)))
 			if served > 0 {
 				s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
 			}
-			return n
+			return
 		}
 		if vp = reg.Plan(); vp != nil && sc.vec == nil {
 			sc.vec = combine.NewVecScratch()
@@ -214,9 +216,8 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) int {
 	}
 	var fr combine.Frame
 	w := reg.Width()
-	n, served := 0, 0
+	served := 0
 	for _, f := range reqs {
-		n += len(f.data)
 		dst := arena.GetInt64s(len(f.data))
 		var err error
 		if vp != nil && len(f.data)/w >= combine.MinVecTuples {
@@ -248,7 +249,6 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) int {
 	if served > 0 {
 		s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
 	}
-	return n
 }
 
 // execUserView runs one request's scan with the VM combine, mirroring

@@ -55,7 +55,10 @@ type NetConfig struct {
 	// PerConnInflight caps one connection's unanswered requests. A
 	// request over the cap is answered immediately with "overloaded"
 	// (retryable) instead of being admitted — one flooding connection
-	// exhausts its own window, not the shared queue. 0 = unlimited.
+	// exhausts its own window, not the shared queue. A request stops
+	// counting when the connection's writer takes up its answer, so a
+	// client that never reads cannot grow a pile of unwritten answers
+	// past the cap. 0 = unlimited.
 	PerConnInflight int
 	// IdleTimeout closes a connection that sends no byte for this
 	// long. In-flight responses still drain. Default 0 (no timeout).
@@ -363,6 +366,12 @@ type connCodec interface {
 	// respond writes one response. Safe for concurrent use by the
 	// per-request goroutines and stream workers.
 	respond(WireResponse)
+	// respondRelease is respond with a hook: release runs once the
+	// connection's single writer takes up this answer, just before its
+	// first byte goes to the socket. Until then the answer still counts
+	// against whatever release frees, so a peer that never reads cannot
+	// make the server pile up unwritten answers past that bound.
+	respondRelease(resp WireResponse, release func())
 	// worstResp / worstRespFloat bound the encoded size of an n-element
 	// result, for the response-budget admission gate. The JSON codec's
 	// bounds are digit worst cases; the binary codec's are exact.
@@ -438,7 +447,9 @@ func (j *jsonConn) worstResp(n int) int      { return maxRespBytes(n) }
 func (j *jsonConn) worstRespFloat(n int) int { return maxRespBytesFloat(n) }
 func (j *jsonConn) finish()                  {}
 
-func (j *jsonConn) respond(resp WireResponse) {
+func (j *jsonConn) respond(resp WireResponse) { j.respondRelease(resp, nil) }
+
+func (j *jsonConn) respondRelease(resp WireResponse, release func()) {
 	var line []byte
 	var pooled []byte
 	// Hot path: success responses encode with strconv into an arena
@@ -464,6 +475,9 @@ func (j *jsonConn) respond(resp WireResponse) {
 	}()
 	j.wmu.Lock()
 	defer j.wmu.Unlock()
+	if release != nil {
+		release()
+	}
 	if j.ns.ncfg.WriteTimeout > 0 {
 		j.conn.SetWriteDeadline(time.Now().Add(j.ns.ncfg.WriteTimeout))
 	}
@@ -501,8 +515,8 @@ func (j *jsonConn) readRequest() (WireRequest, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var req WireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		req, err := unmarshalWireRequest(line)
+		if err != nil {
 			// A failed decode can still have populated Data (the error
 			// came from a later field); its buffer goes back.
 			releaseData(req.Data)
@@ -542,6 +556,13 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 	defer pending.Wait()
 	tenant := conn.RemoteAddr().String()
 	respond := codec.respond
+	// A request's slot is freed by the codec's writer as it takes up the
+	// answer: before the client can see it, so a client holding its
+	// answer is never refused by its own finished request, yet after the
+	// answer is off this goroutine's hands, so answers a non-reading
+	// client leaves unwritten stay bounded by the cap. One closure per
+	// connection keeps the request path allocation-free.
+	releaseSlot := func() { inflight.Add(-1) }
 	cs := newConnStreams(ns, codec, tenant)
 	defer cs.closeAll()
 	for {
@@ -694,58 +715,60 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 		pending.Add(1)
 		go func(req WireRequest, cancel context.CancelFunc) {
 			defer pending.Done()
-			defer inflight.Add(-1)
-			defer cancel()
-			if req.Type == "scan_xchg" {
-				if isFloat {
-					releaseData(req.Data)
-					respond(WireResponse{ID: req.ID, Error: "scan_xchg carries int64 keys only (floats are re-keyed coordinator-side)", Code: CodeBadRequest})
-					return
-				}
-				res, err := ns.serveXchgPiece(ctx, spec, req, reqTenant)
-				releaseData(req.Data)
-				if err != nil {
-					respond(WireResponse{ID: req.ID, Error: err.Error(), Code: codeForError(err)})
-					return
-				}
-				if res == nil {
-					res = []int64{}
-				}
-				respond(WireResponse{ID: req.ID, Result: res})
-				releaseData(res)
-				return
-			}
-			data := req.Data
-			if isFloat {
-				releaseData(req.Data) // float payload rides FData
-				keys, err := floatKeys(spec.Op, req.FData)
-				if err != nil {
-					respond(WireResponse{ID: req.ID, Error: err.Error(), Code: codeForError(err)})
-					return
-				}
-				data = keys
-			}
-			res, err := ns.be.Scan(ctx, spec, data, reqTenant)
-			// Any return from Scan — result or error — means the future
-			// is resolved, so the pipeline is done reading the payload
-			// and its buffer can circulate (DESIGN.md "Arena ownership").
-			releaseData(data)
-			if err != nil {
-				respond(WireResponse{ID: req.ID, Error: err.Error(), Code: codeForError(err)})
-				return
-			}
-			if isFloat {
-				respond(WireResponse{ID: req.ID, FResult: floatResults(spec.Op, res)})
-				releaseData(res)
-				return
-			}
-			if res == nil {
-				res = []int64{}
-			}
-			respond(WireResponse{ID: req.ID, Result: res})
+			resp, res := ns.runScan(ctx, spec, req, isFloat, reqTenant)
+			cancel()
+			codec.respondRelease(resp, releaseSlot)
 			releaseData(res)
 		}(req, cancel)
 	}
+}
+
+// runScan executes one admitted scan (one-shot or scan_xchg piece) and
+// returns its answer, plus the arena result buffer to release once the
+// answer is written (nil when there is none). It owns req.Data.
+func (ns *NetServer) runScan(ctx context.Context, spec Spec, req WireRequest, isFloat bool, tenant string) (WireResponse, []int64) {
+	fail := func(err error) (WireResponse, []int64) {
+		return WireResponse{ID: req.ID, Error: err.Error(), Code: codeForError(err)}, nil
+	}
+	if req.Type == "scan_xchg" {
+		if isFloat {
+			releaseData(req.Data)
+			return WireResponse{ID: req.ID, Error: "scan_xchg carries int64 keys only (floats are re-keyed coordinator-side)", Code: CodeBadRequest}, nil
+		}
+		res, err := ns.serveXchgPiece(ctx, spec, req, tenant)
+		releaseData(req.Data)
+		if err != nil {
+			return fail(err)
+		}
+		if res == nil {
+			res = []int64{}
+		}
+		return WireResponse{ID: req.ID, Result: res}, res
+	}
+	data := req.Data
+	if isFloat {
+		releaseData(req.Data) // float payload rides FData
+		keys, err := floatKeys(spec.Op, req.FData)
+		if err != nil {
+			return fail(err)
+		}
+		data = keys
+	}
+	res, err := ns.be.Scan(ctx, spec, data, tenant)
+	// Any return from Scan — result or error — means the future is
+	// resolved, so the pipeline is done reading the payload and its
+	// buffer can circulate (DESIGN.md "Arena ownership").
+	releaseData(data)
+	if err != nil {
+		return fail(err)
+	}
+	if isFloat {
+		return WireResponse{ID: req.ID, FResult: floatResults(spec.Op, res)}, res
+	}
+	if res == nil {
+		res = []int64{}
+	}
+	return WireResponse{ID: req.ID, Result: res}, res
 }
 
 // Client is a line-protocol client for NetServer / cmd/scansd. One
@@ -1022,19 +1045,7 @@ func (c *Client) startRequest(ctx context.Context, req WireRequest) (pendingResp
 	if c.bin {
 		err = c.sendBin(req)
 	} else {
-		var line []byte
-		line, err = json.Marshal(req)
-		if err == nil {
-			c.wmu.Lock()
-			_, err = c.w.Write(line)
-			if err == nil {
-				err = c.w.WriteByte('\n')
-			}
-			if err == nil {
-				err = c.w.Flush()
-			}
-			c.wmu.Unlock()
-		}
+		err = c.sendLine(req)
 	}
 	if err != nil {
 		c.abandonWaiter(id, ch)
@@ -1163,6 +1174,34 @@ func (c *Client) sendBin(req WireRequest) error {
 	return err
 }
 
+// sendLine encodes one request as a JSON line and writes it under the
+// send mutex. The common shapes encode with strconv into an arena
+// buffer (zero steady-state allocation); the rest go through
+// json.Marshal.
+func (c *Client) sendLine(req WireRequest) error {
+	buf := arena.GetBytes(fastReqSize(req) + 1)[:0]
+	line, ok := appendWireRequest(buf, req)
+	if !ok {
+		arena.PutBytes(buf)
+		buf = nil
+		var err error
+		if line, err = json.Marshal(req); err != nil {
+			return err
+		}
+	}
+	line = append(line, '\n')
+	c.wmu.Lock()
+	_, err := c.w.Write(line)
+	if err == nil {
+		err = c.w.Flush()
+	}
+	c.wmu.Unlock()
+	if buf != nil {
+		arena.PutBytes(line)
+	}
+	return err
+}
+
 // dispatch hands one decoded response to its waiter (shared by both
 // protocol read loops).
 func (c *Client) dispatch(resp WireResponse) {
@@ -1207,8 +1246,8 @@ func (c *Client) readLines() error {
 		if len(line) == 0 {
 			continue
 		}
-		var resp WireResponse
-		if err := json.Unmarshal(line, &resp); err != nil {
+		resp, err := unmarshalWireResponse(line)
+		if err != nil {
 			// A torn line (server died mid-write) is a connection
 			// failure, not a response; keep reading until EOF surfaces.
 			continue

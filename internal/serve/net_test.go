@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"scans/internal/binwire"
 	"scans/internal/fault"
 )
 
@@ -242,6 +245,90 @@ func TestNetPerConnInflightCap(t *testing.T) {
 	faults.DisarmAll()
 	if _, err := c.Scan("sum", "", "", []int64{4, 5}); err != nil {
 		t.Fatalf("scan after cap release: %v", err)
+	}
+}
+
+func TestNetPerConnInflightCapNonReadingClient(t *testing.T) {
+	// A client that pipelines requests and never reads its socket is
+	// still held to PerConnInflight: an answer keeps its slot until the
+	// connection's writer takes it up, and that writer blocks on the
+	// first answer nobody reads (net.Pipe is unbuffered). Each request
+	// is sent once the one before it has been computed, so a slot freed
+	// any earlier than the writer would let every request in. With a cap
+	// of two, one taken-up answer plus two held slots is all the server
+	// may owe, so the fourth request must be refused.
+	for _, bin := range []bool{false, true} {
+		name := "json"
+		if bin {
+			name = "binwire"
+		}
+		t.Run(name, func(t *testing.T) {
+			ns := startNetCfg(t, Config{}, NetConfig{PerConnInflight: 2})
+			cli, srv := net.Pipe()
+			served := make(chan struct{})
+			go func() {
+				ns.handle(srv)
+				close(served)
+			}()
+			defer func() {
+				cli.Close()
+				<-served
+			}()
+			cli.SetDeadline(time.Now().Add(10 * time.Second))
+			r := bufio.NewReader(cli)
+			if bin {
+				if _, err := cli.Write([]byte(binwire.Magic)); err != nil {
+					t.Fatalf("write preamble: %v", err)
+				}
+				ack := make([]byte, len(binwire.Magic))
+				if _, err := io.ReadFull(r, ack); err != nil {
+					t.Fatalf("read preamble ack: %v", err)
+				}
+			}
+			const n = 4
+			for id := uint64(1); id <= n; id++ {
+				var msg []byte
+				if bin {
+					msg = binwire.AppendScan(nil, id, binOpByte("sum"), binKindByte(""), binDirByte(""),
+						binElemByte(""), 0, "", []int64{1, 2}, nil)
+				} else {
+					msg = fmt.Appendf(nil, `{"id":%d,"op":"sum","data":[1,2]}`+"\n", id)
+				}
+				// A pipe write returns once the server has read it.
+				if _, err := cli.Write(msg); err != nil {
+					t.Fatalf("write request %d: %v", id, err)
+				}
+				// Wait for it to be computed; a refused request never is.
+				for wait := time.Now().Add(500 * time.Millisecond); ns.srv.Stats().Served < id && time.Now().Before(wait); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			overloaded := 0
+			for i := 0; i < n; i++ {
+				var resp WireResponse
+				if bin {
+					payload, err := binwire.ReadFrame(r, 1<<20)
+					if err != nil {
+						t.Fatalf("read frame %d: %v", i, err)
+					}
+					bresp, err := binwire.ParseResponse(payload)
+					if err != nil {
+						t.Fatalf("parse frame %d: %v", i, err)
+					}
+					resp = WireResponse{ID: bresp.ID, Code: bresp.Code, Error: bresp.Error}
+				} else {
+					resp = readResp(t, r)
+				}
+				if resp.Code == CodeOverloaded {
+					overloaded++
+				} else if resp.Code != "" {
+					t.Fatalf("response %d: %+v", i, resp)
+				}
+			}
+			if overloaded == 0 {
+				t.Fatalf("all %d requests admitted while no answer was read; want >= 1 %q", n, CodeOverloaded)
+			}
+		})
 	}
 }
 

@@ -222,8 +222,15 @@ type binConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 
-	out   chan []byte // encoded arena-backed frames, closed by finish
+	out   chan binFrame // closed by finish
 	wdone chan struct{}
+}
+
+// binFrame is one encoded arena-backed response frame on its way to the
+// writer, with the hook the writer runs as it takes the frame up.
+type binFrame struct {
+	buf     []byte
+	release func()
 }
 
 func newBinConn(ns *NetServer, conn net.Conn, r *bufio.Reader) *binConn {
@@ -231,7 +238,7 @@ func newBinConn(ns *NetServer, conn net.Conn, r *bufio.Reader) *binConn {
 		ns:    ns,
 		conn:  conn,
 		r:     r,
-		out:   make(chan []byte, binRespQueueDepth),
+		out:   make(chan binFrame, binRespQueueDepth),
 		wdone: make(chan struct{}),
 	}
 	go b.writeLoop()
@@ -248,7 +255,9 @@ func (b *binConn) worstRespFloat(n int) int { return binwire.ResultFrameBytes(n)
 // respond encodes one response into an arena buffer and hands it to the
 // writer goroutine. Never blocks indefinitely on a dead connection: the
 // writer drains the channel unconditionally until finish closes it.
-func (b *binConn) respond(resp WireResponse) {
+func (b *binConn) respond(resp WireResponse) { b.respondRelease(resp, nil) }
+
+func (b *binConn) respondRelease(resp WireResponse, release func()) {
 	var frame []byte
 	switch {
 	case resp.Error != "" || resp.Code != "":
@@ -275,7 +284,7 @@ func (b *binConn) respond(resp WireResponse) {
 		frame = arena.GetBytes(binwire.ResultFrameBytes(len(resp.Result)))[:0]
 		frame = binwire.AppendResult(frame, resp.ID, resp.Result)
 	}
-	b.out <- frame
+	b.out <- binFrame{frame, release}
 }
 
 // writeLoop is the connection's single writer: it interleaves response
@@ -288,7 +297,11 @@ func (b *binConn) writeLoop() {
 	defer close(b.wdone)
 	w := bufio.NewWriterSize(b.conn, 64<<10)
 	dead := false
-	for frame := range b.out {
+	for f := range b.out {
+		frame := f.buf
+		if f.release != nil {
+			f.release()
+		}
 		if dead {
 			arena.PutBytes(frame)
 			continue

@@ -293,11 +293,11 @@ type Config struct {
 	MaxBatchRequests int
 	// MinBatchRequests is the batching fill target. The batcher always
 	// fuses greedily (everything already queued joins the batch); below
-	// the target it yields the processor to let runnable submitters
-	// enqueue, and flushes as soon as a yield surfaces no new request
-	// (or MaxWait is spent). Fusion therefore tracks the offered
-	// concurrency and never parks a timer: a lone request flushes after
-	// one yield. Default 256.
+	// the target it yields the processor while submissions keep
+	// arriving, and flushes once they stop (or MaxWait is spent; see
+	// Server.assemble). Fusion therefore tracks the offered concurrency
+	// and never parks a timer: a lone request flushes after one yield.
+	// Default 256.
 	MinBatchRequests int
 	// MaxWait caps how long a below-target batch keeps yielding for
 	// stragglers before flushing anyway. <= 0 disables yielding: the
@@ -508,6 +508,17 @@ type Server struct {
 	mu     sync.RWMutex // guards closed vs. sends on queue
 	closed bool
 
+	// Arrival clock for the batcher's flush rule, in nanoseconds since
+	// epoch. Submitters stamp lastArrival under arrMu before they
+	// enqueue, moving the stamp it replaces to prevArrival, so the pair
+	// always holds the two latest arrivals in order. lastFlush is the
+	// batcher's own.
+	epoch       time.Time
+	arrMu       sync.Mutex
+	lastArrival int64
+	prevArrival int64
+	lastFlush   int64
+
 	wg    sync.WaitGroup // batcher + executors
 	stats stats
 }
@@ -526,6 +537,7 @@ func newStopped(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:       cfg,
+		epoch:     time.Now(),
 		queue:     make(chan *future, cfg.QueueLimit),
 		execCh:    make(chan []*future, cfg.Executors),
 		ops:       combine.NewRegistry(cfg.OpCap),
@@ -600,6 +612,12 @@ func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 		return f, nil
 	}
 	f.refs.Store(2) // waiter + batch pipeline
+	// Stamp the arrival before the send, so a batcher that receives f
+	// already sees it. The clock is read under the lock, so the stamps
+	// move forward in lock order.
+	s.arrMu.Lock()
+	s.prevArrival, s.lastArrival = s.lastArrival, int64(time.Since(s.epoch))
+	s.arrMu.Unlock()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -757,10 +775,9 @@ func (s *Server) shedIfDead(f *future, now time.Time) bool {
 
 // batchLoop is the single goroutine that owns batch assembly. The
 // policy is adaptive: fuse greedily (everything already queued joins);
-// below the fill target, yield the processor so runnable submitters
-// can enqueue, and flush once a yield surfaces nothing new or the
-// window is spent. Fusion therefore tracks the offered concurrency
-// with no timer parking — Go timer wakeups cost milliseconds on a
+// below the fill target, yield the processor while submissions keep
+// arriving, and flush once they stop or the window is spent. Fusion
+// therefore tracks the offered concurrency with no timer parking — Go timer wakeups cost milliseconds on a
 // loaded box, far more than the scans being fused — while the element
 // and request caps still bound each kernel pass.
 //
@@ -797,17 +814,17 @@ func (s *Server) batchLoop() {
 	}
 }
 
-// assemble builds one batch from the pending tenant queues, refilling
-// them greedily from the submission channel and yielding below the
-// fill target exactly as the pre-fairness batcher did.
 // batchSlicePool recycles the []*future batch slices that flow from the
 // batcher to the executors, so steady-state assembly allocates nothing.
 var batchSlicePool = sync.Pool{New: func() any { return new([]*future) }}
 
+// assemble builds one batch from the pending tenant queues, refilling
+// them greedily from the submission channel. Below the fill target it
+// yields once, then keeps yielding only while arrivalsDue says more
+// submissions are on their way.
 func (s *Server) assemble(pend *tenantQueues, open *bool) []*future {
 	batch := (*batchSlicePool.Get().(*[]*future))[:0]
 	elems := 0
-	sizeAtYield := -1
 	var deadline time.Time
 	for elems < s.cfg.MaxBatchElems && len(batch) < s.cfg.MaxBatchRequests {
 		// Greedy: move everything already queued into the tenant FIFOs.
@@ -847,29 +864,57 @@ func (s *Server) assemble(pend *tenantQueues, open *bool) []*future {
 			continue
 		}
 		// Nothing pending. Flush, unless the batch is below the fill
-		// target and yielding is still making progress.
+		// target and submissions are still arriving.
 		if len(batch) == 0 {
 			break
 		}
 		if len(batch) >= s.cfg.MinBatchRequests || s.cfg.MaxWait <= 0 || !*open {
 			break
 		}
-		if sizeAtYield == len(batch) {
-			// The last yield surfaced nothing: no submitter is
-			// runnable, so more waiting buys occupancy only at the
-			// price of parked latency. Flush.
-			break
-		}
 		now := time.Now()
 		if deadline.IsZero() {
 			deadline = now.Add(s.cfg.MaxWait)
-		} else if now.After(deadline) {
+		} else if now.After(deadline) || !s.arrivalsDue(now) {
+			// The first pass always yields once; after that, the
+			// window or the flush rule ends the batch.
 			break
 		}
-		sizeAtYield = len(batch)
 		runtime.Gosched()
 	}
+	if len(batch) > 0 {
+		s.lastFlush = int64(time.Since(s.epoch))
+	}
 	return batch
+}
+
+// holdGaps is how many of the latest inter-arrival gaps the batcher
+// waits past the latest arrival before it decides a burst has ended.
+const holdGaps = 4
+
+// arrivalsDue is the batcher's flush rule: it reports whether another
+// submission is expected soon. It holds only for concurrent traffic —
+// at least two arrivals since the last flush. A lone request, or a
+// caller that submits once per round trip, finds the arrival before
+// its own on the far side of the last flush and is sent at once, so
+// the rule never holds back a request nobody can join. For a burst
+// it waits holdGaps of the latest gap past the latest arrival, and at
+// least MaxWait/16, so scheduler jitter in a fast submitter does not
+// split its burst; a gap too long to repeat within MaxWait means no
+// burst. The rule reads only clocks and counters the
+// submitters publish, so it holds on any core count: on one core the
+// yield lets submitters run, on many they run alongside.
+func (s *Server) arrivalsDue(now time.Time) bool {
+	s.arrMu.Lock()
+	last, prev := s.lastArrival, s.prevArrival
+	s.arrMu.Unlock()
+	if prev < s.lastFlush {
+		return false
+	}
+	hold := holdGaps * max(last-prev, 0)
+	if hold > int64(s.cfg.MaxWait) {
+		return false
+	}
+	return int64(now.Sub(s.epoch))-last < max(hold, int64(s.cfg.MaxWait)/16)
 }
 
 // execLoop runs batches handed over by the batcher until the channel

@@ -27,15 +27,7 @@ type Int64Vec []int64
 
 // MarshalJSON implements json.Marshaler.
 func (v Int64Vec) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 2+21*len(v))
-	b = append(b, '[')
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, x, 10)
-	}
-	return append(b, ']'), nil
+	return appendInt64s(make([]byte, 0, 2+21*len(v)), v), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Every non-empty decoded
@@ -44,7 +36,11 @@ func (v Int64Vec) MarshalJSON() ([]byte, error) {
 // return request payloads to the arena uniformly (empty vectors are the
 // shared literal and are never Put). See DESIGN.md "Arena ownership".
 func (v *Int64Vec) UnmarshalJSON(b []byte) error {
-	out, ok := parseInt64Array(b)
+	out, n, ok := parseInt64Array(b)
+	if ok && n != len(b) {
+		releaseData(out)
+		ok = false
+	}
 	if !ok {
 		// Graceful degradation: let encoding/json handle whitespace,
 		// exponent forms, null, and error reporting.
@@ -63,66 +59,357 @@ func (v *Int64Vec) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// parseInt64Array is the allocation-light fast path for the exact byte
-// form Int64Vec.MarshalJSON (and any compact JSON encoder) produces:
-// '[' integer (',' integer)* ']' with no interior whitespace. Returns
-// ok=false on ANY deviation — including overflow — so the caller can
-// fall back to the standard decoder.
-func parseInt64Array(b []byte) ([]int64, bool) {
-	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
-		return nil, false
+// appendInt64s appends v as a compact JSON array. It is the one int64
+// vector encoder: Int64Vec.MarshalJSON, appendWireResponse and
+// appendWireRequest all emit their vectors through it.
+func appendInt64s(dst []byte, v []int64) []byte {
+	dst = append(dst, '[')
+	for i, x := range v {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, x, 10)
 	}
-	body := b[1 : len(b)-1]
-	if len(body) == 0 {
-		return []int64{}, true
+	return append(dst, ']')
+}
+
+// parseInt64Array parses the compact JSON integer array at the head of
+// b — '[' integer (',' integer)* ']' with no whitespace, each integer
+// in strict RFC 8259 form (no leading zeros, no fraction or exponent)
+// and inside int64 — and reports how many bytes it consumed. It
+// returns ok=false on ANY deviation, including overflow, so the caller
+// can fall back to the standard decoder. It runs on raw wire bytes
+// that encoding/json has not validated, so it must reject everything
+// the standard grammar rejects. A non-empty result is arena-backed.
+func parseInt64Array(b []byte) ([]int64, int, bool) {
+	if len(b) < 2 || b[0] != '[' {
+		return nil, 0, false
 	}
-	// k elements need at least 2k-1 body bytes ("d,d,...,d"), so
-	// len/2+1 bounds the element count: the appends below never outgrow
-	// the arena buffer's length-n backing.
-	out := arena.GetInt64s(len(body)/2 + 1)[:0]
-	fail := func() ([]int64, bool) {
-		arena.PutInt64s(out)
-		return nil, false
+	if b[1] == ']' {
+		return []int64{}, 2, true
 	}
-	i := 0
+	// The k-th append follows at least 2k bytes ("[d,d,...,d"), so
+	// len/2 bounds the element count: the appends never outgrow the
+	// arena buffer's length-n backing, even on a truncated array.
+	out := arena.GetInt64s(len(b) / 2)[:0]
+	s := wireScanner{b: b, i: 1}
 	for {
-		neg := false
-		if i < len(body) && body[i] == '-' {
-			neg = true
-			i++
+		x, ok := s.int()
+		if !ok {
+			break
 		}
-		start := i
-		var n uint64
-		for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-			d := uint64(body[i] - '0')
-			if n > (math.MaxUint64-d)/10 {
-				return fail()
-			}
-			n = n*10 + d
-			i++
+		out = append(out, x)
+		if s.next(']') {
+			return out, s.i, true
 		}
-		if i == start {
-			return fail() // empty digits: ",,", "]", non-numeric...
+		if !s.next(',') {
+			break
 		}
-		if neg {
-			if n > uint64(math.MaxInt64)+1 {
-				return fail()
-			}
-			out = append(out, -int64(n))
-		} else {
-			if n > uint64(math.MaxInt64) {
-				return fail()
-			}
-			out = append(out, int64(n))
-		}
-		if i == len(body) {
-			return out, true
-		}
-		if body[i] != ',' {
-			return fail()
-		}
-		i++
 	}
+	arena.PutInt64s(out)
+	return nil, 0, false
+}
+
+// wireScanner walks one compact JSON line left to right, the one pass
+// behind decodeWireRequest, decodeWireResponse and parseInt64Array.
+// Each method consumes one token and reports ok=false on anything
+// outside the fast subset — whitespace, escapes, non-ASCII bytes,
+// null, leading zeros, fractions, exponents, overflow — and the caller
+// then hands the whole line to encoding/json.
+type wireScanner struct {
+	b []byte
+	i int
+}
+
+// next consumes c if it is the next byte.
+func (s *wireScanner) next(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// uint parses an unsigned RFC 8259 integer ("0" or [1-9][0-9]*) that
+// fits uint64.
+func (s *wireScanner) uint() (uint64, bool) {
+	start := s.i
+	var n uint64
+	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
+		d := uint64(s.b[s.i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+		s.i++
+	}
+	if s.i == start || (s.b[start] == '0' && s.i-start > 1) {
+		return 0, false
+	}
+	return n, true
+}
+
+// int parses a signed RFC 8259 integer that fits int64.
+func (s *wireScanner) int() (int64, bool) {
+	neg := s.next('-')
+	n, ok := s.uint()
+	switch {
+	case !ok:
+		return 0, false
+	case neg && n <= uint64(math.MaxInt64)+1:
+		return -int64(n), true
+	case !neg && n <= uint64(math.MaxInt64):
+		return int64(n), true
+	}
+	return 0, false
+}
+
+// str returns the bytes of a string whose every byte is printable
+// ASCII other than the backslash, so its bytes are its value.
+func (s *wireScanner) str() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start := s.i
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1], true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// wireWords are the enum values the hot paths send.
+var wireWords = []string{"sum", "max", "min", "mul", "exclusive", "inclusive", "forward", "backward", "stream_chunk"}
+
+// word is str for the enum-valued fields (type, op, kind, dir): a value
+// in wireWords comes back as that constant, so decoding a builtin scan
+// allocates no string.
+func (s *wireScanner) word() (string, bool) {
+	b, ok := s.str()
+	if !ok {
+		return "", false
+	}
+	for _, w := range wireWords {
+		if string(b) == w {
+			return w, true
+		}
+	}
+	return string(b), true
+}
+
+// vec parses an int64 array value straight into an arena buffer.
+func (s *wireScanner) vec() (Int64Vec, bool) {
+	v, n, ok := parseInt64Array(s.b[s.i:])
+	s.i += n
+	return v, ok
+}
+
+// object walks a flat object that must span the whole line. Every key
+// must be one of keys, each at most once; value parses the value at
+// s.i for the key it is given. A repeated key fails the walk before its
+// value is parsed: encoding/json lets the last one win, and only it
+// decides what that means.
+func (s *wireScanner) object(keys []string, value func(key string) bool) bool {
+	if !s.next('{') {
+		return false
+	}
+	if s.next('}') {
+		return s.i == len(s.b)
+	}
+	var seen uint32
+	for {
+		raw, ok := s.str()
+		if !ok || !s.next(':') {
+			return false
+		}
+		k := 0
+		for k < len(keys) && string(raw) != keys[k] {
+			k++
+		}
+		if k == len(keys) || seen&(1<<k) != 0 {
+			return false
+		}
+		seen |= 1 << k
+		if !value(keys[k]) {
+			return false
+		}
+		if s.next('}') {
+			return s.i == len(s.b)
+		}
+		if !s.next(',') {
+			return false
+		}
+	}
+}
+
+// requestKeys and responseKeys are the fast shapes' keys.
+var (
+	requestKeys  = []string{"id", "type", "stream", "op", "op_hash", "kind", "dir", "timeout_ms", "tenant", "data"}
+	responseKeys = []string{"id", "result"}
+)
+
+// decodeWireRequest is the one-pass decoder for request lines in the
+// shape json.Marshal gives one-shot scans and stream messages: a
+// compact object whose keys are among requestKeys, each at most once.
+// The data array is parsed straight into an arena buffer. On that
+// subset it yields exactly the struct json.Unmarshal would; on anything
+// else it returns ok=false with nothing checked out, and the caller
+// falls back to encoding/json, which stays the reference for every
+// other shape and for error text.
+func decodeWireRequest(line []byte) (req WireRequest, ok bool) {
+	s := wireScanner{b: line}
+	ok = s.object(requestKeys, func(key string) bool {
+		var ok bool
+		switch key {
+		case "id":
+			req.ID, ok = s.uint()
+		case "type":
+			req.Type, ok = s.word()
+		case "stream":
+			req.Stream, ok = s.uint()
+		case "op":
+			req.Op, ok = s.word()
+		case "op_hash":
+			req.OpHash, ok = s.uint()
+		case "kind":
+			req.Kind, ok = s.word()
+		case "dir":
+			req.Dir, ok = s.word()
+		case "timeout_ms":
+			req.TimeoutMS, ok = s.int()
+		case "tenant":
+			var b []byte
+			b, ok = s.str()
+			req.Tenant = string(b)
+		case "data":
+			req.Data, ok = s.vec()
+		}
+		return ok
+	})
+	if !ok {
+		releaseData(req.Data)
+		return WireRequest{}, false
+	}
+	return req, true
+}
+
+// decodeWireResponse is the one-pass decoder for the success lines
+// appendWireResponse writes for int64 scans, {"id":N} and
+// {"id":N,"result":[...]}, with the same contract as
+// decodeWireRequest.
+func decodeWireResponse(line []byte) (resp WireResponse, ok bool) {
+	s := wireScanner{b: line}
+	ok = s.object(responseKeys, func(key string) bool {
+		var ok bool
+		if key == "id" {
+			resp.ID, ok = s.uint()
+		} else {
+			resp.Result, ok = s.vec()
+		}
+		return ok
+	})
+	if !ok {
+		releaseData(resp.Result)
+		return WireResponse{}, false
+	}
+	return resp, true
+}
+
+// unmarshalWireRequest decodes one request line: in one pass when the
+// line has the fast shape, through encoding/json otherwise. The two
+// agree on every line (FuzzWireJSONMatchesStdlib). On error the
+// returned request may still hold a decoded Data buffer.
+func unmarshalWireRequest(line []byte) (WireRequest, error) {
+	if req, ok := decodeWireRequest(line); ok {
+		return req, nil
+	}
+	// Declared here, not above: json.Unmarshal makes it escape, and
+	// only the fallback should pay for that allocation.
+	var req WireRequest
+	err := json.Unmarshal(line, &req)
+	return req, err
+}
+
+// unmarshalWireResponse is unmarshalWireRequest for response lines.
+func unmarshalWireResponse(line []byte) (WireResponse, error) {
+	if resp, ok := decodeWireResponse(line); ok {
+		return resp, nil
+	}
+	var resp WireResponse
+	err := json.Unmarshal(line, &resp)
+	return resp, err
+}
+
+// appendWireRequest is the strconv fast path for encoding a request,
+// byte-identical to json.Marshal: it covers one-shot int64 scans and
+// the stream messages — every field but id, type, stream, op, op_hash,
+// kind, dir, timeout_ms, tenant and data at its zero value, and every
+// string free of bytes json.Marshal would escape. Anything else returns
+// ok=false and the caller falls back to json.Marshal. Golden-tested
+// against encoding/json in wire_fast_test.go.
+func appendWireRequest(dst []byte, req WireRequest) ([]byte, bool) {
+	if req.Name != "" || req.Source != "" || req.Elem != "" || len(req.FData) > 0 ||
+		req.Resume != "" || req.Seq != 0 || req.Addr != "" || req.Weight != 0 ||
+		req.WProto != "" || req.MaxLine != 0 || req.Group != 0 || req.Rank != 0 ||
+		len(req.Peers) > 0 || req.XHead || req.XSeed || req.Init != 0 ||
+		req.Round != 0 || req.From != 0 || req.XVal != 0 || req.XReset {
+		return dst, false
+	}
+	if !plainJSON(req.Type) || !plainJSON(req.Op) || !plainJSON(req.Kind) ||
+		!plainJSON(req.Dir) || !plainJSON(req.Tenant) {
+		return dst, false
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, req.ID, 10)
+	if req.Type != "" {
+		dst = append(append(append(dst, `,"type":"`...), req.Type...), '"')
+	}
+	if req.Stream != 0 {
+		dst = strconv.AppendUint(append(dst, `,"stream":`...), req.Stream, 10)
+	}
+	dst = append(append(append(dst, `,"op":"`...), req.Op...), '"')
+	if req.OpHash != 0 {
+		dst = strconv.AppendUint(append(dst, `,"op_hash":`...), req.OpHash, 10)
+	}
+	if req.Kind != "" {
+		dst = append(append(append(dst, `,"kind":"`...), req.Kind...), '"')
+	}
+	if req.Dir != "" {
+		dst = append(append(append(dst, `,"dir":"`...), req.Dir...), '"')
+	}
+	if req.TimeoutMS != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeout_ms":`...), req.TimeoutMS, 10)
+	}
+	if req.Tenant != "" {
+		dst = append(append(append(dst, `,"tenant":"`...), req.Tenant...), '"')
+	}
+	dst = appendInt64s(append(dst, `,"data":`...), req.Data)
+	return append(dst, '}'), true
+}
+
+// plainJSON reports whether json.Marshal writes s unescaped: printable
+// ASCII other than '"', '\\' and the HTML-escaped '<', '>' and '&'.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// fastReqSize bounds appendWireRequest's output for arena sizing: the
+// envelope with every supported field at its longest, the strings, and
+// 21 bytes per element.
+func fastReqSize(req WireRequest) int {
+	return 192 + len(req.Type) + len(req.Op) + len(req.Kind) + len(req.Dir) +
+		len(req.Tenant) + 21*len(req.Data)
 }
 
 // The wire format of cmd/scansd is newline-delimited JSON: one
@@ -445,32 +732,9 @@ func appendWireResponse(dst []byte, resp WireResponse) ([]byte, bool) {
 	dst = strconv.AppendUint(dst, resp.ID, 10)
 	switch {
 	case len(resp.Result) > 0:
-		dst = append(dst, `,"result":[`...)
-		for i, x := range resp.Result {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, x, 10)
-		}
-		dst = append(dst, ']')
+		dst = appendInt64s(append(dst, `,"result":`...), resp.Result)
 	case len(resp.FResult) > 0:
-		dst = append(dst, `,"fresult":[`...)
-		for i, f := range resp.FResult {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			switch {
-			case math.IsInf(f, 1):
-				dst = append(dst, `"+Inf"`...)
-			case math.IsInf(f, -1):
-				dst = append(dst, `"-Inf"`...)
-			case math.IsNaN(f):
-				dst = append(dst, `"NaN"`...)
-			default:
-				dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-			}
-		}
-		dst = append(dst, ']')
+		dst = appendFloat64s(append(dst, `,"fresult":`...), resp.FResult)
 	case resp.Total != nil:
 		dst = append(dst, `,"total":`...)
 		dst = strconv.AppendInt(dst, *resp.Total, 10)

@@ -64,24 +64,29 @@ type FloatVec []float64
 
 // MarshalJSON implements json.Marshaler with the non-finite encoding.
 func (v FloatVec) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 1+25*len(v))
-	b = append(b, '[')
+	return appendFloat64s(make([]byte, 0, 2+25*len(v)), v), nil
+}
+
+// appendFloat64s appends v as a JSON array in FloatVec's encoding, for
+// FloatVec.MarshalJSON and appendWireResponse.
+func appendFloat64s(dst []byte, v []float64) []byte {
+	dst = append(dst, '[')
 	for i, f := range v {
 		if i > 0 {
-			b = append(b, ',')
+			dst = append(dst, ',')
 		}
 		switch {
 		case math.IsInf(f, 1):
-			b = append(b, `"+Inf"`...)
+			dst = append(dst, `"+Inf"`...)
 		case math.IsInf(f, -1):
-			b = append(b, `"-Inf"`...)
+			dst = append(dst, `"-Inf"`...)
 		case math.IsNaN(f):
-			b = append(b, `"NaN"`...)
+			dst = append(dst, `"NaN"`...)
 		default:
-			b = strconv.AppendFloat(b, f, 'g', -1, 64)
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 		}
 	}
-	return append(b, ']'), nil
+	return append(dst, ']')
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting numbers plus the

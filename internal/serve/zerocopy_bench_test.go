@@ -175,3 +175,58 @@ func TestAllocsSteadyStateUserOpScan(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsJSONEdgeCodec is check.sh's alloc gate for the JSON edge:
+// decoding a scan request line or a result line allocates nothing
+// beyond the arena checkout for its vector, and encoding a request
+// allocates nothing at all. Each line must also take the one-pass path
+// — encoding/json would allocate on every call.
+func TestAllocsJSONEdgeCodec(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc-free pooling is not observable under -race (sync.Pool drops Puts)")
+	}
+	data := make([]int64, 256)
+	for i := range data {
+		data[i] = int64(i*7919) - 1000
+	}
+	req := WireRequest{ID: 1 << 40, Op: "sum", Kind: "inclusive", Dir: "backward", TimeoutMS: 250, Data: data}
+	reqLine, ok := appendWireRequest(nil, req)
+	if !ok {
+		t.Fatal("request appender declined a one-shot scan")
+	}
+	respLine, ok := appendWireResponse(nil, WireResponse{ID: 1 << 40, Result: data})
+	if !ok {
+		t.Fatal("response appender declined a result")
+	}
+	cases := []struct {
+		name string
+		run  func() bool
+	}{
+		{"encode-request", func() bool {
+			buf := arena.GetBytes(fastReqSize(req))[:0]
+			out, ok := appendWireRequest(buf, req)
+			arena.PutBytes(out)
+			return ok
+		}},
+		{"decode-request", func() bool {
+			got, ok := decodeWireRequest(reqLine)
+			releaseData(got.Data)
+			return ok && len(got.Data) == len(data)
+		}},
+		{"decode-result", func() bool {
+			got, ok := decodeWireResponse(respLine)
+			releaseData(got.Result)
+			return ok && len(got.Result) == len(data)
+		}},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 100; i++ {
+			if !tc.run() {
+				t.Fatalf("%s: the one-pass path declined its line", tc.name)
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() { tc.run() }); avg != 0 {
+			t.Errorf("%s allocates %.1f objects/call, want 0 — the JSON edge codec has grown a per-request allocation", tc.name, avg)
+		}
+	}
+}

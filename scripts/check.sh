@@ -58,6 +58,10 @@ echo "== alloc-regression gate (no -race: its sync.Pool drops Puts by design)"
 # creeps back in.
 go test -count=1 -run '^TestAllocsSteadyStateScan$' ./internal/serve/
 go test -count=1 -run '^TestSteadyStateAllocFree$' ./internal/arena/
+# The JSON edge codec: decoding a scan request or result line allocates
+# nothing beyond the arena checkout for its vector, and encoding a
+# request allocates nothing.
+go test -count=1 -run '^TestAllocsJSONEdgeCodec$' ./internal/serve/
 
 echo "== user-op VM alloc gate (no -race)"
 # The combine VM must serve a registered monoid within a fixed
@@ -92,6 +96,12 @@ echo "== fuzz burst: FuzzBinwireMatchesJSON (10s, -race)"
 # the binary and JSON codecs must produce identical results and error
 # codes, and raw hostile frames must never wedge or crash the server.
 go test -race -fuzz='^FuzzBinwireMatchesJSON$' -fuzztime=10s -run '^$' ./internal/serve/
+
+echo "== fuzz burst: FuzzWireJSONMatchesStdlib (10s)"
+# Parity of the one-pass JSON edge codec with encoding/json: the same
+# accept/reject verdict, error text and decoded struct on any line, and
+# appenders byte-identical to json.Marshal whenever they claim a value.
+go test -fuzz='^FuzzWireJSONMatchesStdlib$' -fuzztime=10s -run '^$' ./internal/serve/
 
 echo "== fuzz burst: FuzzShardedScanMatchesSingleNode (10s)"
 go test -fuzz='^FuzzShardedScanMatchesSingleNode$' -fuzztime=10s -run '^$' ./internal/cluster/
