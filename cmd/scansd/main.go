@@ -8,7 +8,7 @@
 // Every connection's requests fuse into the same batches, so N remote
 // clients issuing small scans cost one segmented kernel pass per
 // batching window, not N passes. cmd/scanload is the matching load
-// generator.
+// driver.
 //
 // A connection may instead negotiate the length-prefixed BINARY
 // protocol (internal/binwire) by opening with the "\x00bin/1\n"
@@ -130,7 +130,6 @@ func main() {
 		chaosSpec = flag.String("chaos", "", "arm fault points: name:prob[:duration],... (see package doc)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
 		xchgRound = flag.Duration("xchg-round-timeout", 2*time.Second, "worker: per-round deadline for the exchange data plane's carry rounds")
-		vmDisp    = flag.String("vm-dispatch", serve.VMDispatchVector, "user combine-op execution: vector (lane-blocked engine + native promotion) or scalar (per-element interpreter)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)
 	flag.Parse()
@@ -223,7 +222,6 @@ func main() {
 			QueueAgeLimit:    *queueAge,
 			Executors:        *executors,
 			OpCap:            *opCap,
-			VMDispatch:       *vmDisp,
 			Faults:           faults,
 		}, ncfg)
 		if err != nil {

@@ -180,8 +180,8 @@ func promotedOp(reg *combine.Registered) (Op, bool) {
 //     was validated associative at registration); smaller requests
 //     keep the serial walk;
 //   - scalar: programs with irreducible control flow (gcd's loop), or
-//     Config.VMDispatch == "scalar", walk tuple by tuple through Exec
-//     exactly as PR 9 shipped.
+//     any op on a server whose tests set Config.scalarVM, walk tuple by
+//     tuple through Exec.
 //
 // All three produce bit-identical results (FuzzVMMatchesNative and
 // FuzzVectorizedMatchesScalar pin this).
@@ -199,7 +199,7 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 		panic("serve: runUserGroup: user op " + spec.User + " reached the executor unbound")
 	}
 	var vp *combine.VecPlan
-	if s.cfg.vmVector() {
+	if !s.cfg.scalarVM {
 		if op, ok := promotedOp(reg); ok {
 			kspec := Spec{Op: op, Kind: spec.Kind, Dir: spec.Dir}
 			served := s.runViewsGroup(sc, kspec, reqs)

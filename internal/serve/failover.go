@@ -17,8 +17,8 @@ import (
 // the next coordinator by resume token, so a stream that was half done
 // when the primary was killed finishes on the standby with bit-identical
 // results instead of starting over. It is the client half of the
-// cluster's control-plane failure model (DESIGN.md §9); cmd/scanload's
-// -kill-coordinator-after mode drives it under load.
+// cluster's control-plane failure model (DESIGN.md §9), driven under
+// load by internal/cluster's TestFailoverGapUnderStreamedLoad.
 //
 // Concurrency: any number of goroutines may use one FailoverClient; they
 // share the underlying multiplexed Client. A failure flips the shared

@@ -335,16 +335,12 @@ type Config struct {
 	// <= 0 means combine.DefaultPerTenantCap.
 	OpCap int
 
-	// VMDispatch selects how user combine ops execute:
-	// VMDispatchVector (the default) compiles each registration to a
-	// lane-blocked vector plan — programs canonical to a builtin monoid
-	// promote all the way to the native kernels — falling back to
-	// per-element Exec only for programs with irreducible control flow
-	// or sub-MinVecTuples requests; VMDispatchScalar forces the
-	// per-element interpreter everywhere (the PR 9 baseline, kept for
-	// benchmarking and bit-identity comparisons). Results are
-	// bit-identical either way.
-	VMDispatch string
+	// scalarVM forces every user combine op through the per-element
+	// interpreter, bypassing promotion and the lane-blocked engine. It
+	// is a test seam, settable only from this package's tests, that
+	// gives them a scalar baseline to compare the default dispatch
+	// against; results are bit-identical either way.
+	scalarVM bool
 }
 
 // withDefaults fills zero fields.
@@ -367,22 +363,9 @@ func (c Config) withDefaults() Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4096
 	}
-	if c.VMDispatch == "" {
-		c.VMDispatch = VMDispatchVector
-	}
 	c.Executors = scan.Workers(c.Executors)
 	return c
 }
-
-// VMDispatch values for Config.
-const (
-	VMDispatchVector = "vector"
-	VMDispatchScalar = "scalar"
-)
-
-// vmVector reports whether the config wants vectorized user-op
-// dispatch (anything but an explicit "scalar").
-func (c Config) vmVector() bool { return c.VMDispatch != VMDispatchScalar }
 
 // request is one scan request. spec and data are required; tenant
 // optionally names the submitter for the batcher's weighted fair pick

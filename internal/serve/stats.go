@@ -56,7 +56,7 @@ type stats struct {
 	// User-op dispatch-class counters (requests, not groups): promoted
 	// ops ran a native kernel pass, vector ops the lane-blocked engine,
 	// scalar ops the per-element interpreter (irreducible control flow,
-	// sub-MinVecTuples requests, or VMDispatch == "scalar").
+	// sub-MinVecTuples requests, or the Config.scalarVM test seam).
 	vmPromoted atomic.Uint64
 	vmVector   atomic.Uint64
 	vmScalar   atomic.Uint64

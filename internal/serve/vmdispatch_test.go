@@ -21,7 +21,7 @@ func dispatchPair(t *testing.T, name, source string) (vec, scal *Server) {
 	t.Helper()
 	vec = New(Config{MaxWait: 50 * time.Microsecond})
 	t.Cleanup(func() { vec.Close() })
-	scal = New(Config{MaxWait: 50 * time.Microsecond, VMDispatch: VMDispatchScalar})
+	scal = New(Config{MaxWait: 50 * time.Microsecond, scalarVM: true})
 	t.Cleanup(func() { scal.Close() })
 	for _, s := range []*Server{vec, scal} {
 		if _, err := s.RegisterScanOp("t", name, source); err != nil {
