@@ -443,7 +443,7 @@ func (c *Coordinator) scanRoot(ctx context.Context, spec serve.Spec, data []int6
 		c.stats.rejected.Add(1)
 		return nil, fmt.Errorf("%w: invalid spec %+v", serve.ErrBadRequest, spec)
 	}
-	spec, rerr := c.resolveSpec(spec, tenant)
+	spec, rerr := serve.ResolveOp(c.userOps.reg, spec, tenant)
 	if rerr != nil {
 		c.stats.rejected.Add(1)
 		return nil, rerr

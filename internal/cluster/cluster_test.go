@@ -55,13 +55,18 @@ func newCoord(t *testing.T, cfg Config) *Coordinator {
 // directSeg computes the reference segmented scan with the serial
 // kernels — what the sharded result must match bit for bit.
 func directSeg(spec serve.Spec, data []int64, flags []bool) []int64 {
+	return directSegFunc(scan.Func[int64]{
+		Id: serve.Identity(spec.Op),
+		F:  func(a, b int64) int64 { return serve.Combine(spec.Op, a, b) },
+	}, spec, data, flags)
+}
+
+// directSegFunc is directSeg for any serial combine o: the reference
+// for user ops, whose combine is a VM program.
+func directSegFunc(o scan.Func[int64], spec serve.Spec, data []int64, flags []bool) []int64 {
 	dst := make([]int64, len(data))
 	if flags == nil {
 		flags = make([]bool, len(data))
-	}
-	o := scan.Func[int64]{
-		Id: serve.Identity(spec.Op),
-		F:  func(a, b int64) int64 { return serve.Combine(spec.Op, a, b) },
 	}
 	switch {
 	case spec.Dir == serve.Forward && spec.Kind == serve.Exclusive:

@@ -95,33 +95,6 @@ func (c *Coordinator) RegisterScanOp(tenant, name, source string) (uint64, error
 	return reg.Hash, nil
 }
 
-// LookupScanOp returns the coordinator's live registration by name (nil
-// if absent).
-func (c *Coordinator) LookupScanOp(tenant, name string) *combine.Registered {
-	return c.userOps.reg.Lookup(tenant, name)
-}
-
-// resolveSpec binds a user-op spec to the coordinator's registration
-// (verifying any caller-pinned hash) so planning can fold carries with
-// the op's VM program and dispatch can pin pieces to the exact bytecode.
-// Builtin specs pass through untouched.
-func (c *Coordinator) resolveSpec(spec serve.Spec, tenant string) (serve.Spec, error) {
-	if spec.Op != serve.OpUser {
-		return spec, nil
-	}
-	reg := c.userOps.reg.Lookup(tenant, spec.User)
-	if reg == nil {
-		return serve.Spec{}, fmt.Errorf("%w: unknown user op %q for tenant %q (register_op first)",
-			serve.ErrBadRequest, spec.User, tenant)
-	}
-	if spec.Hash != 0 && spec.Hash != reg.Hash {
-		return serve.Spec{}, fmt.Errorf("%w: op %q is registered as %#016x here, caller pinned %#016x",
-			serve.ErrOpHash, spec.User, reg.Hash, spec.Hash)
-	}
-	spec.Hash = 0
-	return spec.Bind(reg), nil
-}
-
 // ensureOpPushed pushes reg to w unless the cache says this exact hash
 // already landed there. Best-effort: a failed push is not fatal — the
 // piece attempt itself will surface the worker's true state.

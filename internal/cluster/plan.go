@@ -156,11 +156,11 @@ func cutPieces(shards []shard, flags []bool, maxPiece int) []piece {
 // forward, that is a segment head or the true start of an unseeded
 // request; backward, the mirror — the vector's end or a segment
 // boundary immediately after the piece.
-// User ops run their VM program for every fold step (one scratch frame
-// per goroutine, one for the chain); a VM fault — realistically only
-// op_budget, on the piece's actual data — aborts the whole seeding with
-// the typed error, since a missing carry poisons every piece after it.
-// Builtins keep the direct serve.Combine path.
+// Each piece's fold is serve.FoldSpec: a native loop for builtin and
+// promoted ops, combine's driver for other user ops. A VM fault —
+// realistically only op_budget, on the piece's actual data — aborts the
+// whole seeding with the typed error, since a missing carry poisons
+// every piece after it.
 func seedPieces(spec serve.Spec, data []int64, flags []bool, pieces []piece, carry int64, seeded bool) error {
 	folds := make([]int64, len(pieces))
 	errs := make([]error, len(pieces))
@@ -172,17 +172,7 @@ func seedPieces(spec serve.Spec, data []int64, flags []bool, pieces []piece, car
 		go func(k int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var fr combine.Frame
-			acc := serve.IdentitySpec(spec)
-			for _, v := range data[pieces[k].off:pieces[k].end] {
-				var err error
-				acc, err = serve.CombineSpec(spec, &fr, acc, v)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-			}
-			folds[k] = acc
+			folds[k], errs[k] = serve.FoldSpec(spec, data[pieces[k].off:pieces[k].end])
 		}(k)
 	}
 	wg.Wait()

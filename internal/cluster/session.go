@@ -265,7 +265,7 @@ func (t *sessionTable) resume(c *Coordinator, token string, lastAcked uint64) (*
 		// session cannot continue (each coordinator's registry is its
 		// own); that is a resume miss, not a corrupt stream.
 		var err error
-		spec, err = c.resolveSpec(spec, rec.tenant)
+		spec, err = serve.ResolveOp(c.userOps.reg, spec, rec.tenant)
 		if err != nil {
 			t.mu.Unlock()
 			t.stats.resumeMisses.Add(1)

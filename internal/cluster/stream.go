@@ -70,7 +70,7 @@ func (c *Coordinator) OpenScanStream(spec serve.Spec, tenant string) (serve.Scan
 		c.stats.rejected.Add(1)
 		return nil, serve.ErrStreamUnsupported
 	}
-	spec, err := c.resolveSpec(spec, tenant)
+	spec, err := serve.ResolveOp(c.userOps.reg, spec, tenant)
 	if err != nil {
 		c.stats.rejected.Add(1)
 		return nil, err

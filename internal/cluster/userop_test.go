@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scans/internal/combine"
+	"scans/internal/scan"
 	"scans/internal/serve"
 )
 
@@ -80,77 +81,108 @@ func gcdTestData(n int) []int64 {
 	return data
 }
 
+// satAddScanRef computes the reference scan of ExampleSatAdd's monoid
+// (saturating add over uint64 words, identity 0).
+func satAddScanRef(data []int64, spec serve.Spec) []int64 {
+	return directSegFunc(scan.Func[int64]{F: func(a, b int64) int64 {
+		if s := uint64(a) + uint64(b); s >= uint64(a) {
+			return int64(s)
+		}
+		return -1
+	}}, spec, data, nil)
+}
+
 func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
-	// The acceptance matrix: one registered monoid, one input vector,
+	// The acceptance matrix: registered monoids, one input vector each,
 	// every serving path — single-node, cluster-star, cluster-exchange,
-	// and streamed through the coordinator — answers the same bits.
+	// and streamed through the coordinator — answers the same bits. gcd
+	// never compiles, so every fold walks one lane through Exec; satadd
+	// compiles, so 500-element shards fold on the vector engine.
 	workers := startWorkers(t, 3, serve.Config{MaxWait: 100 * time.Microsecond})
 	star := newCoord(t, Config{Workers: workers, MinShardElems: 64, DataPlane: DataPlaneStar})
 	xchg := newCoord(t, Config{Workers: workers, MinShardElems: 64, DataPlane: DataPlaneExchange})
 
 	single := serve.New(serve.Config{MaxWait: 100 * time.Microsecond})
 	defer single.Close()
-	if _, err := single.RegisterScanOp("t", "gcd", combine.ExampleGCD); err != nil {
-		t.Fatalf("single-node register: %v", err)
+	satData := make([]int64, 1500)
+	for i := range satData {
+		satData[i] = int64(i%97) << 20
 	}
-	for _, c := range []*Coordinator{star, xchg} {
-		if _, err := c.RegisterScanOp("t", "gcd", combine.ExampleGCD); err != nil {
-			t.Fatalf("coordinator register: %v", err)
+	ops := []struct {
+		name, source string
+		data         []int64
+		ref          func(data []int64, spec serve.Spec) []int64
+	}{
+		{"gcd", combine.ExampleGCD, gcdTestData(1500), func(data []int64, spec serve.Spec) []int64 {
+			return gcdScanRef(data, spec.Kind, spec.Dir)
+		}},
+		{"satadd", combine.ExampleSatAdd, satData, satAddScanRef},
+	}
+	for _, op := range ops {
+		if _, err := single.RegisterScanOp("t", op.name, op.source); err != nil {
+			t.Fatalf("single-node register %s: %v", op.name, err)
+		}
+		for _, c := range []*Coordinator{star, xchg} {
+			if _, err := c.RegisterScanOp("t", op.name, op.source); err != nil {
+				t.Fatalf("coordinator register %s: %v", op.name, err)
+			}
 		}
 	}
 
-	data := gcdTestData(1500)
 	ctx := context.Background()
-	for _, kind := range []serve.Kind{serve.Inclusive, serve.Exclusive} {
-		for _, dir := range []serve.Dir{serve.Forward, serve.Backward} {
-			spec, err := serve.ParseSpec("user:gcd", kind.String(), dir.String())
-			if err != nil {
-				t.Fatalf("ParseSpec: %v", err)
-			}
-			want := gcdScanRef(data, kind, dir)
-
-			got, err := single.Scan(ctx, spec, data, "t")
-			if err != nil {
-				t.Fatalf("single-node %s %s: %v", kind, dir, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("single-node %s %s diverged from reference", kind, dir)
-			}
-			for name, c := range map[string]*Coordinator{"star": star, "exchange": xchg} {
-				got, err := c.Scan(ctx, spec, data, "t")
+	for _, op := range ops {
+		data := op.data
+		for _, kind := range []serve.Kind{serve.Inclusive, serve.Exclusive} {
+			for _, dir := range []serve.Dir{serve.Forward, serve.Backward} {
+				spec, err := serve.ParseSpec("user:"+op.name, kind.String(), dir.String())
 				if err != nil {
-					t.Fatalf("%s %s %s: %v", name, kind, dir, err)
+					t.Fatalf("ParseSpec: %v", err)
+				}
+				want := op.ref(data, spec)
+
+				got, err := single.Scan(ctx, spec, data, "t")
+				if err != nil {
+					t.Fatalf("%s single-node %s %s: %v", op.name, kind, dir, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %s %s diverged from single-node", name, kind, dir)
+					t.Fatalf("%s single-node %s %s diverged from reference", op.name, kind, dir)
 				}
-			}
-
-			if dir == serve.Forward {
-				// Streamed: same vector in 7 chunks through the
-				// coordinator's session carry.
-				st, err := star.OpenScanStream(spec, "t")
-				if err != nil {
-					t.Fatalf("OpenScanStream: %v", err)
-				}
-				var streamed []int64
-				chunk := 229
-				for off := 0; off < len(data); off += chunk {
-					end := off + chunk
-					if end > len(data) {
-						end = len(data)
-					}
-					res, err := st.Push(ctx, data[off:end])
+				for name, c := range map[string]*Coordinator{"star": star, "exchange": xchg} {
+					got, err := c.Scan(ctx, spec, data, "t")
 					if err != nil {
-						t.Fatalf("Push: %v", err)
+						t.Fatalf("%s %s %s %s: %v", op.name, name, kind, dir, err)
 					}
-					streamed = append(streamed, res...)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s %s %s diverged from single-node", op.name, name, kind, dir)
+					}
 				}
-				if _, err := st.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-				if !reflect.DeepEqual(streamed, want) {
-					t.Fatalf("streamed %s diverged from one-shot", kind)
+
+				if dir == serve.Forward {
+					// Streamed: same vector in 7 chunks through the
+					// coordinator's session carry.
+					st, err := star.OpenScanStream(spec, "t")
+					if err != nil {
+						t.Fatalf("OpenScanStream: %v", err)
+					}
+					var streamed []int64
+					chunk := 229
+					for off := 0; off < len(data); off += chunk {
+						end := off + chunk
+						if end > len(data) {
+							end = len(data)
+						}
+						res, err := st.Push(ctx, data[off:end])
+						if err != nil {
+							t.Fatalf("Push: %v", err)
+						}
+						streamed = append(streamed, res...)
+					}
+					if _, err := st.Close(); err != nil {
+						t.Fatalf("Close: %v", err)
+					}
+					if !reflect.DeepEqual(streamed, want) {
+						t.Fatalf("%s streamed %s diverged from one-shot", op.name, kind)
+					}
 				}
 			}
 		}
@@ -162,8 +194,8 @@ func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 	if st.XchgRequests == 0 {
 		t.Fatal("exchange coordinator never attempted the exchange plane")
 	}
-	if st.OpRegisters != 1 || st.OpPushes == 0 {
-		t.Fatalf("op ledger: registers=%d pushes=%d, want 1 and >0", st.OpRegisters, st.OpPushes)
+	if st.OpRegisters != uint64(len(ops)) || st.OpPushes == 0 {
+		t.Fatalf("op ledger: registers=%d pushes=%d, want %d and >0", st.OpRegisters, st.OpPushes, len(ops))
 	}
 }
 

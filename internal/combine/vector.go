@@ -22,7 +22,7 @@
 //     executing the untaken arm is unobservable;
 //   - anything else (backward jumps — gcd's loop — computed control
 //     flow, ret inside an arm) makes CompileVec return nil and the
-//     caller stays on scalar Exec.
+//     scan driver walks one lane through scalar Exec.
 //
 // Budget semantics: a compiled plan's scalar twin executes at most one
 // step per instruction (control flow is forward-only on every path), so
@@ -40,10 +40,10 @@ const (
 	// dispatch covers; it sizes the per-register scratch rows.
 	LaneBlock = 256
 
-	// MinVecTuples is the request size below which callers should keep
-	// the scalar walk: the blocked scan does ~2× the combine work
-	// (block sums + re-scan), which only pays once enough lanes
-	// amortize the dispatch.
+	// MinVecTuples is the request size, in tuples, below which
+	// Registered.Scan and Fold keep the one-lane walk: the blocked scan
+	// does ~2× the combine work (block sums + re-scan), which only pays
+	// once enough lanes amortize the dispatch.
 	MinVecTuples = 64
 
 	// minVecChunk keeps lanes from being shorter than the per-step
@@ -531,15 +531,15 @@ func modTotal(x, y int64) int64 {
 	return x % y
 }
 
-// VecScratch is one executor's vector working set: the register slab,
-// output-staging rows, the lane accumulator, and a Frame for the
-// serial seed pass. Like Frame, it is reused call after call and is
-// not safe for concurrent use.
+// VecScratch is one executor's working set for the user-op driver: the
+// register slab, output-staging rows, the lane accumulators, and a
+// Frame for every Exec step. Like Frame, it is reused call after call
+// and is not safe for concurrent use.
 type VecScratch struct {
 	slab []int64
 	rows [][]int64
 	outT [MaxWidth][]int64
-	// acc and seed are lane-major accumulator buffers for ScanBlocked:
+	// acc and seed are the driver's lane-major accumulator buffers:
 	// lane l's tuple lives at [l*width : (l+1)*width].
 	acc  []int64
 	seed []int64
@@ -555,7 +555,7 @@ func NewVecScratch() *VecScratch { return &VecScratch{} }
 // ensure sizes the scratch for a plan with nreg registers. Re-ensuring
 // the same register count (every Run of a blocked scan) is a no-op.
 func (sc *VecScratch) ensure(nreg int) {
-	if len(sc.rows) == nreg && sc.acc != nil {
+	if len(sc.rows) == nreg && sc.slab != nil {
 		return
 	}
 	need := (nreg + MaxWidth) * LaneBlock
@@ -573,12 +573,6 @@ func (sc *VecScratch) ensure(nreg int) {
 	for i := 0; i < MaxWidth; i++ {
 		off := (nreg + i) * LaneBlock
 		sc.outT[i] = sc.slab[off : off+LaneBlock]
-	}
-	accNeed := 2 * LaneBlock * MaxWidth
-	if cap(sc.acc) < accNeed {
-		buf := make([]int64, accNeed)
-		sc.acc = buf[:LaneBlock*MaxWidth]
-		sc.seed = buf[LaneBlock*MaxWidth:]
 	}
 }
 
@@ -752,130 +746,176 @@ func binRow(op OpCode, d []int64, xs []int64, xst int, ys []int64, yst int, nl i
 	}
 }
 
-// ScanBlocked runs one request's scan through the vector engine using
-// the paper's own block-sum decomposition, applied WITHIN the request:
-// split the nt tuples into up-to-LaneBlock contiguous lanes, reduce
-// each lane with vectorized steps (pass 1), serially scan the lane sums
-// into per-lane seeds with scalar Exec (pass 2 — #lanes steps, not nt),
-// then re-scan each lane from its seed, again vectorized (pass 3).
-// That is ~2n combine applications instead of n, but each vector step
-// covers #lanes tuples per dispatch, which is the trade the paper makes
-// for Figure 10's block sums.
+// The user-op scan driver: the paper's block-sum decomposition (Figure
+// 10) WITHIN one request. Split the nt tuples into contiguous lanes,
+// reduce each lane (pass 1), serially scan the lane sums into per-lane
+// seeds (pass 2 — #lanes steps, not nt), then re-scan each lane from its
+// seed (pass 3). Passes 1 and 3 advance every lane one tuple per step:
+// one vector Run across the lanes when the op compiled, else one Exec.
 //
-// Reassociation caveat: the decomposition regroups the fold, so it is
-// only valid for ASSOCIATIVE combines — which registration validation
-// establishes. The engine itself (Run) is per-pair and makes no such
-// assumption.
-//
-// Semantics mirror execUserView exactly: forward folds combine(acc,
-// el), backward folds combine(el, acc) walking from the tail; exclusive
-// writes the accumulator before the fold, inclusive after; when seeded,
-// acc[0] starts at carry (width-1, enforced at admission).
+// Lanes only pay when the step is vectorized (the blocked scan does ~2n
+// combines instead of n), so without a plan the driver runs ONE lane:
+// passes 1–2 vanish and pass 3 is the serial walk with the view
+// kernels' semantics (scan/views.go) at tuple stride. Forward folds
+// combine(acc, el); backward walks from the tail and folds
+// combine(el, acc) — user monoids need not commute; exclusive writes
+// the accumulator before the fold, inclusive after; when seeded, acc[0]
+// starts at the carry (width 1, enforced at admission), else at the
+// identity. More than one lane reassociates the fold, which is sound
+// because registration validated the op as associative. Only the Exec
+// walk can fail (ErrBudget): a compiled plan cannot (file comment).
+
+// lanes is one call's split of nt tuples into n lanes of chunk tuples,
+// the last holding lastLen; vp nil means one lane stepped by Exec.
+type lanes struct {
+	sc                   *VecScratch
+	vp                   *VecPlan
+	p                    *Program
+	w, chunk, n, lastLen int
+}
+
+func splitLanes(sc *VecScratch, vp *VecPlan, p *Program, nt int) lanes {
+	ln := lanes{sc: sc, vp: vp, p: p, w: p.Width, chunk: nt, n: 1, lastLen: nt}
+	if vp != nil {
+		if chunk := max((nt+LaneBlock-1)/LaneBlock, minVecChunk); chunk < nt {
+			ln.chunk, ln.n = chunk, (nt+chunk-1)/chunk
+			ln.lastLen = nt - (ln.n-1)*chunk
+		}
+	}
+	// A one-lane walk needs one accumulator tuple; the vector engine's
+	// first use grows the rows to their LaneBlock maximum for good.
+	if need := ln.n * ln.w; len(sc.acc) < need {
+		if vp != nil {
+			need = LaneBlock * MaxWidth
+		}
+		sc.acc, sc.seed = make([]int64, need), make([]int64, need)
+	}
+	return ln
+}
+
+// walk advances every lane through its tuples, folding each into the
+// lane's accumulator in sc.acc (passes 1 and 3). Unless dst is nil it
+// writes each running value out, before the fold when exclusive.
+func (ln *lanes) walk(dst, src []int64, inclusive, backward bool) error {
+	w, stride, acc := ln.w, ln.chunk*ln.w, ln.sc.acc
+	for i := 0; i < ln.chunk; i++ {
+		k := i
+		if backward {
+			k = ln.chunk - 1 - i
+		}
+		nl := ln.n
+		if k >= ln.lastLen {
+			nl--
+		}
+		if dst != nil && !inclusive {
+			emitAcc(dst[k*w:], stride, acc, w, nl)
+		}
+		a, as, b, bs := acc, w, src[k*w:], stride
+		if backward {
+			a, as, b, bs = b, bs, a, as
+		}
+		if ln.vp != nil {
+			ln.vp.Run(ln.sc, nl, acc, w, a, as, b, bs)
+		} else if err := ln.p.Exec(&ln.sc.fr, acc[:w], a[:w], b[:w]); err != nil {
+			return err
+		}
+		if dst != nil && inclusive {
+			emitAcc(dst[k*w:], stride, acc, w, nl)
+		}
+	}
+	return nil
+}
+
+// sums is pass 1: sc.acc holds each lane's fold.
+func (ln *lanes) sums(src []int64) error {
+	for l := 0; l < ln.n; l++ {
+		copy(ln.sc.acc[l*ln.w:], ln.p.Identity)
+	}
+	return ln.walk(nil, src, false, false)
+}
+
+// seeds is pass 2: an exclusive scan of the lane sums in sc.acc, from
+// init, into sc.seed — right to left when backward.
+func (ln *lanes) seeds(init []int64, backward bool) error {
+	w, prev := ln.w, 0
+	for i := 0; i < ln.n; i++ {
+		l := i
+		if backward {
+			l = ln.n - 1 - i
+		}
+		if i == 0 {
+			copy(ln.sc.seed[l*w:(l+1)*w], init)
+		} else {
+			a, b := ln.sc.seed[prev*w:(prev+1)*w], ln.sc.acc[prev*w:(prev+1)*w]
+			if backward {
+				a, b = b, a
+			}
+			if err := ln.p.Exec(&ln.sc.fr, ln.sc.seed[l*w:(l+1)*w], a, b); err != nil {
+				return err
+			}
+		}
+		prev = l
+	}
+	return nil
+}
+
+// ScanBlocked scans src into dst through the driver, stepping every
+// lane with vp's vector Run whatever the request's size. A nil vp walks
+// one lane through p's Exec.
 func (vp *VecPlan) ScanBlocked(sc *VecScratch, p *Program, dst, src []int64, inclusive, backward bool, carry int64, seeded bool) error {
-	w := vp.width
-	nt := len(src) / w
-	if nt == 0 {
+	w := p.Width
+	if len(src) < w {
 		return nil
 	}
-	chunk := (nt + LaneBlock - 1) / LaneBlock
-	if chunk < minVecChunk {
-		chunk = minVecChunk
-	}
-	lanes := (nt + chunk - 1) / chunk
-	lastLen := nt - (lanes-1)*chunk
-	sc.ensure(vp.nreg)
-
-	acc := sc.acc[:lanes*w]
-	seed := sc.seed[:lanes*w]
-	// active reports how many lanes have an element at step k: the last
-	// lane is the ragged one.
-	active := func(k int) int {
-		if k < lastLen {
-			return lanes
-		}
-		return lanes - 1
-	}
-
-	// Pass 1: per-lane reduction into acc (lane-major, stride w).
-	for l := 0; l < lanes; l++ {
-		copy(acc[l*w:(l+1)*w], p.Identity)
-	}
-	laneStride := chunk * w
-	if !backward {
-		for k := 0; k < chunk; k++ {
-			nl := active(k)
-			if nl == 0 {
-				continue
-			}
-			vp.Run(sc, nl, acc, w, acc, w, src[k*w:], laneStride)
-		}
-	} else {
-		for k := chunk - 1; k >= 0; k-- {
-			nl := active(k)
-			if nl == 0 {
-				continue
-			}
-			vp.Run(sc, nl, acc, w, src[k*w:], laneStride, acc, w)
+	ln := splitLanes(sc, vp, p, len(src)/w)
+	if ln.n > 1 {
+		if err := ln.sums(src); err != nil {
+			return err
 		}
 	}
-
-	// Pass 2: serial scan of the lane sums into seeds. #lanes scalar
-	// Execs — the only serial work left. Exec cannot fail here (the
-	// plan compiled), but the error is still propagated defensively.
 	var init [MaxWidth]int64
 	copy(init[:w], p.Identity)
 	if seeded {
 		init[0] = carry
 	}
-	if !backward {
-		copy(seed[0:w], init[:w])
-		for l := 1; l < lanes; l++ {
-			if err := p.Exec(&sc.fr, seed[l*w:(l+1)*w], seed[(l-1)*w:l*w], acc[(l-1)*w:l*w]); err != nil {
-				return err
-			}
-		}
-	} else {
-		copy(seed[(lanes-1)*w:lanes*w], init[:w])
-		for l := lanes - 2; l >= 0; l-- {
-			if err := p.Exec(&sc.fr, seed[l*w:(l+1)*w], acc[(l+1)*w:(l+2)*w], seed[(l+1)*w:(l+2)*w]); err != nil {
-				return err
-			}
-		}
+	if err := ln.seeds(init[:w], backward); err != nil {
+		return err
 	}
+	copy(sc.acc, sc.seed[:ln.n*w])
+	return ln.walk(dst, src, inclusive, backward)
+}
 
-	// Pass 3: re-scan each lane from its seed, emitting outputs. The
-	// accumulator buffer is reused (acc := seed values).
-	copy(acc, seed)
-	if !backward {
-		for k := 0; k < chunk; k++ {
-			nl := active(k)
-			if nl == 0 {
-				continue
-			}
-			if !inclusive {
-				emitAcc(dst[k*w:], laneStride, acc, w, nl)
-				vp.Run(sc, nl, acc, w, acc, w, src[k*w:], laneStride)
-			} else {
-				vp.Run(sc, nl, acc, w, acc, w, src[k*w:], laneStride)
-				emitAcc(dst[k*w:], laneStride, acc, w, nl)
-			}
-		}
-	} else {
-		for k := chunk - 1; k >= 0; k-- {
-			nl := active(k)
-			if nl == 0 {
-				continue
-			}
-			if !inclusive {
-				emitAcc(dst[k*w:], laneStride, acc, w, nl)
-				vp.Run(sc, nl, acc, w, src[k*w:], laneStride, acc, w)
-			} else {
-				vp.Run(sc, nl, acc, w, src[k*w:], laneStride, acc, w)
-				emitAcc(dst[k*w:], laneStride, acc, w, nl)
-			}
-		}
+// vecPlan picks the driver's step for an n-element request: the plan,
+// or nil — one lane — when the op did not compile, the request is under
+// MinVecTuples, or scalar forces it.
+func (r *Registered) vecPlan(n int, scalar bool) *VecPlan {
+	if scalar || n/r.Width() < MinVecTuples {
+		return nil
 	}
-	return nil
+	return r.Plan()
+}
+
+// Scan scans src into dst with the op through the driver; scalar forces
+// the one-lane walk, and vectorized reports whether the vector engine
+// ran.
+func (r *Registered) Scan(sc *VecScratch, dst, src []int64, inclusive, backward bool, carry int64, seeded, scalar bool) (vectorized bool, err error) {
+	vp := r.vecPlan(len(src), scalar)
+	return vp != nil, vp.ScanBlocked(sc, r.Prog, dst, src, inclusive, backward, carry, seeded)
+}
+
+// Fold writes the fold of src's tuples, identity ⊗ src[0] ⊗ … in order,
+// to dst: passes 1–2, then the last lane's seed ⊗ its sum.
+func (r *Registered) Fold(sc *VecScratch, dst, src []int64) error {
+	p, w := r.Prog, r.Width()
+	ln := splitLanes(sc, r.vecPlan(len(src), false), p, len(src)/w)
+	if err := ln.sums(src); err != nil {
+		return err
+	}
+	if err := ln.seeds(p.Identity, false); err != nil {
+		return err
+	}
+	last := (ln.n - 1) * w
+	return p.Exec(&sc.fr, dst[:w], sc.seed[last:last+w], sc.acc[last:last+w])
 }
 
 // emitAcc copies each active lane's accumulator tuple to its output

@@ -1,6 +1,8 @@
 package combine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -105,9 +107,10 @@ func TestVectorExamplesMatchScalar(t *testing.T) {
 	}
 }
 
-// scanSerialRef is the reference walk: execUserView's exact semantics
-// (forward folds combine(acc, el); backward folds combine(el, acc)
-// from the tail; exclusive emits before the fold, inclusive after).
+// scanSerialRef is the reference walk, one Exec per tuple with the
+// driver's semantics (forward folds combine(acc, el); backward folds
+// combine(el, acc) from the tail; exclusive emits before the fold,
+// inclusive after).
 func scanSerialRef(t testing.TB, p *Program, dst, src []int64, inclusive, backward bool, carry int64, seeded bool) {
 	t.Helper()
 	w := p.Width
@@ -151,20 +154,49 @@ func scanSerialRef(t testing.TB, p *Program, dst, src []int64, inclusive, backwa
 	}
 }
 
+// TestScanBlockedMatchesSerial pins every entry point of the driver —
+// ScanBlocked, Registered.Scan with and without the forced one-lane
+// walk, and Registered.Fold — to the serial reference, for every
+// example op (gcd included: it only ever walks one lane), at sizes on
+// both sides of MinVecTuples, LaneBlock, and the lane-length floor; and
+// a budget-tripping op to ErrBudget through Scan and Fold.
 func TestScanBlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	sizes := []int{1, 3, MinVecTuples, 100, LaneBlock, 1000, 4096, 4097}
-	for name, class := range exampleClasses {
-		if class == "scalar" {
-			continue
-		}
+	sizes := []int{0, 1, 3, MinVecTuples - 1, MinVecTuples, MinVecTuples + 1, 100,
+		LaneBlock - 1, LaneBlock, LaneBlock + 1, 1000, 4096, 4097,
+		minVecChunk * LaneBlock, minVecChunk*LaneBlock + 1}
+	for name := range exampleClasses {
 		p := mustProg(t, Examples[name])
 		vp := CompileVec(p)
+		reg := &Registered{Name: name, Prog: p}
 		w := p.Width
 		sc := NewVecScratch()
 		for _, nt := range sizes {
 			src := make([]int64, nt*w)
 			fillTuples(rng, src)
+			same := func(what string, got, want []int64) {
+				t.Helper()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s nt=%d %s: tuple %d field %d: got %d, serial %d",
+							name, nt, what, i/w, i%w, got[i], want[i])
+					}
+				}
+			}
+
+			wantFold := append([]int64(nil), p.Identity...)
+			var fr Frame
+			for k := 0; k < nt; k++ {
+				if err := p.Exec(&fr, wantFold, wantFold, src[k*w:(k+1)*w]); err != nil {
+					t.Fatalf("%s: reference fold: %v", name, err)
+				}
+			}
+			gotFold := make([]int64, w)
+			if err := reg.Fold(sc, gotFold, src); err != nil {
+				t.Fatalf("%s nt=%d: Fold: %v", name, nt, err)
+			}
+			same("fold", gotFold, wantFold)
+
 			for _, inclusive := range []bool{false, true} {
 				for _, backward := range []bool{false, true} {
 					for _, seeded := range []bool{false, true} {
@@ -175,21 +207,70 @@ func TestScanBlockedMatchesSerial(t *testing.T) {
 						if seeded {
 							carry = rng.Int63() - rng.Int63()
 						}
-						got := make([]int64, nt*w)
+						what := fmt.Sprintf("incl=%v back=%v seeded=%v", inclusive, backward, seeded)
 						want := make([]int64, nt*w)
-						if err := vp.ScanBlocked(sc, p, got, src, inclusive, backward, carry, seeded); err != nil {
-							t.Fatalf("%s nt=%d: ScanBlocked: %v", name, nt, err)
-						}
 						scanSerialRef(t, p, want, src, inclusive, backward, carry, seeded)
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s nt=%d incl=%v back=%v seeded=%v: tuple %d field %d: blocked %d != serial %d",
-									name, nt, inclusive, backward, seeded, i/w, i%w, got[i], want[i])
+						got := make([]int64, nt*w)
+						if vp != nil {
+							if err := vp.ScanBlocked(sc, p, got, src, inclusive, backward, carry, seeded); err != nil {
+								t.Fatalf("%s nt=%d: ScanBlocked: %v", name, nt, err)
 							}
+							same(what+" ScanBlocked", got, want)
+						}
+						for _, scalar := range []bool{false, true} {
+							clear(got)
+							vec, err := reg.Scan(sc, got, src, inclusive, backward, carry, seeded, scalar)
+							if err != nil {
+								t.Fatalf("%s nt=%d: Scan(scalar=%v): %v", name, nt, scalar, err)
+							}
+							if wantVec := vp != nil && !scalar && nt >= MinVecTuples; vec != wantVec {
+								t.Fatalf("%s nt=%d scalar=%v: vectorized=%v, want %v", name, nt, scalar, vec, wantVec)
+							}
+							same(fmt.Sprintf("%s Scan(scalar=%v)", what, scalar), got, want)
 						}
 					}
 				}
 			}
+		}
+	}
+
+	// An op whose loop runs away on one input (serve's spin op, out of
+	// the registration probes' reach) never compiles, so the one-lane
+	// walk meets that input: Scan and Fold both return ErrBudget,
+	// either direction, at vector-eligible sizes too.
+	spin := &Registered{Name: "spin", Prog: mustProg(t, `
+.width 1
+.identity 0
+	arga 0
+	const 424242
+	eq
+	jnz spin
+	arga 0
+	argb 0
+	add
+	ret
+spin:
+	const 1
+	jnz spin
+`)}
+	sc := NewVecScratch()
+	for _, nt := range []int{2, MinVecTuples, LaneBlock + 1} {
+		src := make([]int64, nt)
+		for i := range src {
+			src[i] = 1
+		}
+		// 424242 becomes a left argument either way: walking from the
+		// head it is the accumulator after one step (acc ⊗ el); walking
+		// from the tail it is the last element (el ⊗ acc).
+		src[0] = 424242
+		dst := make([]int64, nt)
+		for _, backward := range []bool{false, true} {
+			if _, err := spin.Scan(sc, dst, src, false, backward, 0, false, false); !errors.Is(err, ErrBudget) {
+				t.Errorf("spin nt=%d backward=%v: Scan err = %v, want ErrBudget", nt, backward, err)
+			}
+		}
+		if err := spin.Fold(sc, dst[:1], src); !errors.Is(err, ErrBudget) {
+			t.Errorf("spin nt=%d: Fold err = %v, want ErrBudget", nt, err)
 		}
 	}
 }

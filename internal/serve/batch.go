@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"scans/internal/arena"
@@ -61,9 +60,9 @@ type execScratch struct {
 	groups map[Spec][]*future
 	order  []Spec
 	views  []scan.View[int64]
-	// vec is the lane-blocked engine's register scratch, created on the
-	// first vector-dispatched user-op group this executor serves and
-	// reused forever after — vector lane blocks never touch the GC.
+	// vec is the user-op driver's scratch, created on the first
+	// non-promoted user-op group this executor serves and reused
+	// forever after — lane blocks never touch the GC.
 	vec *combine.VecScratch
 }
 
@@ -169,74 +168,53 @@ func promotedOp(reg *combine.Registered) (Op, bool) {
 	return 0, false
 }
 
-// runUserGroup serves one user-op group with the best dispatch its
-// registration compiles to (combine/vector.go), cheapest first:
-//
-//   - native: the fused plan is structurally a builtin monoid, so the
-//     whole group runs ONE native segmented kernel pass under that
-//     builtin's Spec — the VM is out of the loop entirely;
-//   - vector: requests of at least MinVecTuples run the lane-blocked
-//     engine's blocked two-pass scan (reassociation is sound: the op
-//     was validated associative at registration); smaller requests
-//     keep the serial walk;
-//   - scalar: programs with irreducible control flow (gcd's loop), or
-//     any op on a server whose tests set Config.scalarVM, walk tuple by
-//     tuple through Exec.
-//
-// All three produce bit-identical results (FuzzVMMatchesNative and
+// runUserGroup serves one user-op group. A promoted registration (its
+// fused plan is structurally a builtin monoid) runs ONE native
+// segmented kernel pass under that builtin's Spec, with the VM out of
+// the loop. Any other op runs each request through combine's user-op
+// driver, Registered.Scan, which picks the vector engine or the
+// one-lane Exec walk (combine/vector.go); Config.scalarVM forces the
+// walk. All classes are bit-identical (FuzzVMMatchesNative and
 // FuzzVectorizedMatchesScalar pin this).
 //
-// Failure isolation is per REQUEST, not per group: a view whose op
-// blows its step budget (ErrOpBudget, data-dependent — validation
-// cannot see every input, and only the scalar path can still trip it:
-// a compiled plan provably cannot fault or exceed the budget) fails
-// only its own future; the rest of the group is served normally.
-// Nothing here panics on VM errors, so a budget blowout never poisons
-// the batch.
+// Failure isolation is per REQUEST: a request whose op blows its step
+// budget (ErrOpBudget — data-dependent, and only the Exec walk can trip
+// it) fails only its own future; the rest of the group is served. VM
+// errors never panic, so a budget blowout never poisons the batch.
 func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 	reg := spec.reg
 	if reg == nil {
 		panic("serve: runUserGroup: user op " + spec.User + " reached the executor unbound")
 	}
-	var vp *combine.VecPlan
-	if !s.cfg.scalarVM {
-		if op, ok := promotedOp(reg); ok {
-			kspec := Spec{Op: op, Kind: spec.Kind, Dir: spec.Dir}
-			served := s.runViewsGroup(sc, kspec, reqs)
-			s.stats.served.Add(uint64(served))
-			s.stats.vmPromoted.Add(uint64(len(reqs)))
-			if served > 0 {
-				s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
-			}
-			return
+	if op, ok := promotedOp(reg); ok && !s.cfg.scalarVM {
+		kspec := Spec{Op: op, Kind: spec.Kind, Dir: spec.Dir}
+		served := s.runViewsGroup(sc, kspec, reqs)
+		s.stats.served.Add(uint64(served))
+		s.stats.vmPromoted.Add(uint64(len(reqs)))
+		if served > 0 {
+			s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
 		}
-		if vp = reg.Plan(); vp != nil && sc.vec == nil {
-			sc.vec = combine.NewVecScratch()
-		}
+		return
 	}
-	var fr combine.Frame
-	w := reg.Width()
+	if sc.vec == nil {
+		sc.vec = combine.NewVecScratch()
+	}
 	served := 0
 	for _, f := range reqs {
 		dst := arena.GetInt64s(len(f.data))
-		var err error
-		if vp != nil && len(f.data)/w >= combine.MinVecTuples {
-			err = vp.ScanBlocked(sc.vec, reg.Prog, dst, f.data,
-				spec.Kind == Inclusive, spec.Dir == Backward, f.carry, f.seeded)
+		vec, err := reg.Scan(sc.vec, dst, f.data, spec.Kind == Inclusive, spec.Dir == Backward,
+			f.carry, f.seeded, s.cfg.scalarVM)
+		if vec {
 			s.stats.vmVector.Add(1)
 		} else {
-			err = execUserView(reg.Prog, &fr, spec, dst, f.data, f.carry, f.seeded)
 			s.stats.vmScalar.Add(1)
 		}
 		if err != nil {
 			arena.PutInt64s(dst)
 			if errors.Is(err, combine.ErrBudget) {
 				s.stats.opBudgetFails.Add(1)
-				err = fmt.Errorf("%w: op %q: %v", ErrOpBudget, spec.User, err)
-			} else {
-				err = fmt.Errorf("%w: op %q faulted: %v", ErrInternal, spec.User, err)
 			}
-			f.complete(nil, err)
+			f.complete(nil, vmErr(spec, err))
 			continue
 		}
 		if f.complete(dst, nil) {
@@ -249,60 +227,6 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 	if served > 0 {
 		s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
 	}
-}
-
-// execUserView runs one request's scan with the VM combine, mirroring
-// the view kernels' serial semantics (scan/views.go) at tuple stride:
-// forward exclusive writes the running accumulator before folding each
-// tuple in, inclusive after; backward walks from the tail with the
-// element on the LEFT of the accumulator (combine(el, acc) — user
-// monoids need not be commutative, so operand order is load-bearing).
-// The accumulator starts at the stream carry when seeded (width 1,
-// enforced at admission), else the program's identity tuple.
-//
-// Exec writes dst only after the program retires (a single copy off
-// the VM stack), so passing acc as both combine input and destination
-// is safe.
-func execUserView(p *combine.Program, fr *combine.Frame, spec Spec, dst, src []int64, carry int64, seeded bool) error {
-	w := p.Width
-	var acc [combine.MaxWidth]int64
-	copy(acc[:w], p.Identity)
-	if seeded {
-		acc[0] = carry
-	}
-	nt := len(src) / w
-	if spec.Dir == Forward {
-		for k := 0; k < nt; k++ {
-			el := src[k*w : (k+1)*w]
-			if spec.Kind == Exclusive {
-				copy(dst[k*w:(k+1)*w], acc[:w])
-				if err := p.Exec(fr, acc[:w], acc[:w], el); err != nil {
-					return err
-				}
-			} else {
-				if err := p.Exec(fr, acc[:w], acc[:w], el); err != nil {
-					return err
-				}
-				copy(dst[k*w:(k+1)*w], acc[:w])
-			}
-		}
-		return nil
-	}
-	for k := nt - 1; k >= 0; k-- {
-		el := src[k*w : (k+1)*w]
-		if spec.Kind == Exclusive {
-			copy(dst[k*w:(k+1)*w], acc[:w])
-			if err := p.Exec(fr, acc[:w], el, acc[:w]); err != nil {
-				return err
-			}
-		} else {
-			if err := p.Exec(fr, acc[:w], el, acc[:w]); err != nil {
-				return err
-			}
-			copy(dst[k*w:(k+1)*w], acc[:w])
-		}
-	}
-	return nil
 }
 
 // runSegmentedViews dispatches one fused (op, kind, direction) pass to

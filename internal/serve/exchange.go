@@ -257,19 +257,10 @@ type xpair struct {
 	r bool
 }
 
-// xcomb is the segmented-pair operator ⊗ (see the package comment):
+// xcombSpec is the segmented-pair operator ⊗ (see the package comment):
 // associative, and exactly the fold the coordinator's serial seed chain
-// performs.
-func xcomb(op Op, a, b xpair) xpair {
-	if b.r {
-		return xpair{b.v, true}
-	}
-	return xpair{Combine(op, a.v, b.v), a.r}
-}
-
-// xcombSpec is xcomb generalized to bound user ops: the value half runs
-// the op's VM program (which can fail — budget blowout on pathological
-// carries), builtins take the infallible fast path.
+// performs. For user ops the value half runs the op's VM program, which
+// can fail (budget blowout on pathological carries).
 func xcombSpec(spec Spec, fr *combine.Frame, a, b xpair) (xpair, error) {
 	if b.r {
 		return xpair{b.v, true}, nil
@@ -383,18 +374,9 @@ func (ns *NetServer) serveXchgPiece(ctx context.Context, spec Spec, req WireRequ
 		}
 	}
 
-	fold := IdentitySpec(spec)
-	if spec.Op == OpUser {
-		for _, v := range data {
-			var err error
-			if fold, err = CombineSpec(spec, &fr, fold, v); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, v := range data {
-			fold = Combine(op, fold, v)
-		}
+	fold, err := FoldSpec(spec, data)
+	if err != nil {
+		return nil, err
 	}
 	// The piece's contribution: for a backward piece opening at a head,
 	// the star chain resets to the identity AFTER seeding the pieces to

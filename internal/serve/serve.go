@@ -335,8 +335,8 @@ type Config struct {
 	// <= 0 means combine.DefaultPerTenantCap.
 	OpCap int
 
-	// scalarVM forces every user combine op through the per-element
-	// interpreter, bypassing promotion and the lane-blocked engine. It
+	// scalarVM forces every user combine op through the driver's
+	// one-lane Exec walk, bypassing promotion and the vector engine. It
 	// is a test seam, settable only from this package's tests, that
 	// gives them a scalar baseline to compare the default dispatch
 	// against; results are bit-identical either way.
@@ -619,29 +619,44 @@ func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 	}
 }
 
-// resolveUserOp binds an OpUser request to its live registration:
-// lookup (unless the caller pre-bound via Spec.Bind), pinned-hash
-// verification, and tuple-width admission. On success the spec's Hash
-// is zeroed — it has served its purpose — so equal registrations fuse
-// into one batch group however their callers pinned.
-func (s *Server) resolveUserOp(r *request) error {
-	reg := r.spec.reg
+// ResolveOp binds a user-op spec to its registration in ops — its own
+// binding (Spec.Bind) or a lookup — and verifies any caller-pinned Hash
+// (ErrOpHash; an unknown op is ErrBadRequest). The Hash is then zeroed,
+// so equal registrations fuse into one batch group however callers
+// pinned. Builtins pass through. Servers and coordinators share it.
+func ResolveOp(ops *combine.Registry, spec Spec, tenant string) (Spec, error) {
+	if spec.Op != OpUser {
+		return spec, nil
+	}
+	reg := spec.reg
 	if reg == nil {
-		if reg = s.ops.Lookup(r.tenant, r.spec.User); reg == nil {
-			return fmt.Errorf("%w: unknown user op %q for tenant %q (register_op first)", ErrBadRequest, r.spec.User, r.tenant)
+		if reg = ops.Lookup(tenant, spec.User); reg == nil {
+			return Spec{}, fmt.Errorf("%w: unknown user op %q for tenant %q (register_op first)", ErrBadRequest, spec.User, tenant)
 		}
 	}
-	if r.spec.Hash != 0 && r.spec.Hash != reg.Hash {
-		return fmt.Errorf("%w: op %q is registered as %#016x here, caller pinned %#016x", ErrOpHash, r.spec.User, reg.Hash, r.spec.Hash)
+	if spec.Hash != 0 && spec.Hash != reg.Hash {
+		return Spec{}, fmt.Errorf("%w: op %q is registered as %#016x here, caller pinned %#016x", ErrOpHash, spec.User, reg.Hash, spec.Hash)
 	}
-	if w := reg.Width(); len(r.data)%w != 0 {
-		return fmt.Errorf("%w: op %q combines width-%d tuples; %d elements is not a whole number of tuples", ErrBadRequest, r.spec.User, w, len(r.data))
+	spec.Hash = 0
+	spec.reg = reg
+	return spec, nil
+}
+
+// resolveUserOp binds an OpUser request to its live registration
+// (ResolveOp) and admits its payload: a whole number of tuples, and
+// width 1 for a seeded request.
+func (s *Server) resolveUserOp(r *request) error {
+	spec, err := ResolveOp(s.ops, r.spec, r.tenant)
+	if err != nil {
+		return err
 	}
-	if r.seeded && reg.Width() != 1 {
-		return fmt.Errorf("%w: op %q has width %d; streams carry width-1 ops only", ErrBadRequest, r.spec.User, reg.Width())
+	if w := spec.Width(); len(r.data)%w != 0 {
+		return fmt.Errorf("%w: op %q combines width-%d tuples; %d elements is not a whole number of tuples", ErrBadRequest, spec.User, w, len(r.data))
 	}
-	r.spec.Hash = 0
-	r.spec.reg = reg
+	if r.seeded && spec.Width() != 1 {
+		return fmt.Errorf("%w: op %q has width %d; streams carry width-1 ops only", ErrBadRequest, spec.User, spec.Width())
+	}
+	r.spec = spec
 	return nil
 }
 
@@ -659,13 +674,6 @@ func (s *Server) RegisterScanOp(tenant, name, source string) (uint64, error) {
 	}
 	s.stats.opRegisters.Add(1)
 	return reg.Hash, nil
-}
-
-// LookupScanOp returns the tenant's live registration by name (nil if
-// absent). Cluster coordinators use it to stamp piece specs with the
-// registration they are dispatching for.
-func (s *Server) LookupScanOp(tenant, name string) *combine.Registered {
-	return s.ops.Lookup(tenant, name)
 }
 
 // ResolveScanOp binds a user-op spec to the tenant's live registration
@@ -980,28 +988,65 @@ func IdentitySpec(s Spec) int64 {
 
 // CombineSpec folds two scalars with the spec's monoid — the carry
 // arithmetic behind streams and cluster shard seeding, generalized to
-// bound width-1 user ops. Builtins cannot fail; a user op that blows
-// its step budget returns ErrOpBudget, any other VM fault ErrInternal.
+// bound width-1 user ops. Builtins cannot fail; a user op's VM errors
+// are typed by vmErr.
 func CombineSpec(s Spec, fr *combine.Frame, a, b int64) (int64, error) {
-	if s.Op != OpUser {
-		return Combine(s.Op, a, b), nil
+	op, native, err := nativeOp(s)
+	if err != nil {
+		return 0, err
 	}
-	if s.reg == nil {
-		return 0, fmt.Errorf("%w: user op %q is unbound", ErrInternal, s.User)
-	}
-	// Promoted registrations (structurally a builtin monoid) fold with
-	// the native combine — this is the carry path streams, the cluster
-	// planner, and the exchange plane all share, so a promoted op pays
-	// native cost end to end, not just in the batch kernels.
-	if op, ok := promotedOp(s.reg); ok {
+	if native {
 		return Combine(op, a, b), nil
 	}
 	v, err := s.reg.Prog.ExecScalar(fr, a, b)
 	if err != nil {
-		if errors.Is(err, combine.ErrBudget) {
-			return 0, fmt.Errorf("%w: op %q: %v", ErrOpBudget, s.User, err)
-		}
-		return 0, fmt.Errorf("%w: op %q faulted: %v", ErrInternal, s.User, err)
+		return 0, vmErr(s, err)
 	}
 	return v, nil
+}
+
+// FoldSpec folds width-1 data from the spec's identity: a piece's block
+// sum, for the star plane's carry prescan and the exchange plane's
+// exscan. Builtin and promoted ops run a native loop, other user ops
+// combine's driver (Registered.Fold); VM errors are typed by vmErr.
+func FoldSpec(s Spec, data []int64) (int64, error) {
+	op, native, err := nativeOp(s)
+	if err != nil {
+		return 0, err
+	}
+	if native {
+		acc := Identity(op)
+		for _, v := range data {
+			acc = Combine(op, acc, v)
+		}
+		return acc, nil
+	}
+	var out [1]int64
+	if err := s.reg.Fold(combine.NewVecScratch(), out[:], data); err != nil {
+		return 0, vmErr(s, err)
+	}
+	return out[0], nil
+}
+
+// nativeOp returns the builtin that folds s natively — its own op, or
+// the one a promoted registration equals, so promoted ops pay native
+// cost on every carry path — or native false for a VM-only user op.
+func nativeOp(s Spec) (op Op, native bool, err error) {
+	if s.Op != OpUser {
+		return s.Op, true, nil
+	}
+	if s.reg == nil {
+		return 0, false, fmt.Errorf("%w: user op %q is unbound", ErrInternal, s.User)
+	}
+	op, native = promotedOp(s.reg)
+	return op, native, nil
+}
+
+// vmErr types a user op's VM failure for the wire: a blown step budget
+// is ErrOpBudget, any other fault ErrInternal.
+func vmErr(s Spec, err error) error {
+	if errors.Is(err, combine.ErrBudget) {
+		return fmt.Errorf("%w: op %q: %v", ErrOpBudget, s.User, err)
+	}
+	return fmt.Errorf("%w: op %q faulted: %v", ErrInternal, s.User, err)
 }

@@ -54,9 +54,11 @@ type stats struct {
 	opServed      map[string]uint64 // "tenant:name" → requests served
 
 	// User-op dispatch-class counters (requests, not groups): promoted
-	// ops ran a native kernel pass, vector ops the lane-blocked engine,
-	// scalar ops the per-element interpreter (irreducible control flow,
-	// sub-MinVecTuples requests, or the Config.scalarVM test seam).
+	// ops ran a native kernel pass; the rest ran combine's driver,
+	// Registered.Scan, which reports whether it took the vector engine
+	// (vmVector) or the one-lane Exec walk (vmScalar: irreducible
+	// control flow, sub-MinVecTuples requests, or the Config.scalarVM
+	// test seam).
 	vmPromoted atomic.Uint64
 	vmVector   atomic.Uint64
 	vmScalar   atomic.Uint64
@@ -162,9 +164,9 @@ type Stats struct {
 	OpRejects     uint64
 	OpBudgetFails uint64
 	// VMPromotedReqs / VMVectorReqs / VMScalarReqs split user-op
-	// requests by dispatch class: native-kernel promotion, the
-	// lane-blocked vector engine, or the per-element scalar
-	// interpreter. Their sum is the total user-op requests dispatched
+	// requests by dispatch class: native-kernel promotion, or combine's
+	// scan driver on the lane-blocked vector engine or its one-lane
+	// Exec walk. Their sum is the total user-op requests dispatched
 	// (including ones that later failed their step budget).
 	VMPromotedReqs uint64
 	VMVectorReqs   uint64
