@@ -110,7 +110,7 @@ func (s *Server) runGroup(sc *execScratch, spec Spec, reqs []*future) {
 		s.runUserGroup(sc, spec, reqs)
 		return
 	}
-	s.stats.served.Add(uint64(s.runViewsGroup(sc, spec, reqs)))
+	s.runViewsGroup(sc, spec, reqs)
 }
 
 // runViewsGroup stages one group's requests as views, runs a single
@@ -135,7 +135,7 @@ func (s *Server) runViewsGroup(sc *execScratch, kspec Spec, reqs []*future) (ser
 	// groups and batches, not from splitting one pass.
 	runSegmentedViews(kspec, sc.views)
 	for i, f := range reqs {
-		if f.complete(sc.views[i].Dst, nil) {
+		if f.complete(sc.views[i].Dst, nil, &s.stats.served) {
 			served++
 		} else {
 			// Already resolved (shed/failed elsewhere): nobody will read
@@ -189,7 +189,6 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 	if op, ok := promotedOp(reg); ok && !s.cfg.scalarVM {
 		kspec := Spec{Op: op, Kind: spec.Kind, Dir: spec.Dir}
 		served := s.runViewsGroup(sc, kspec, reqs)
-		s.stats.served.Add(uint64(served))
 		s.stats.vmPromoted.Add(uint64(len(reqs)))
 		if served > 0 {
 			s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
@@ -214,16 +213,15 @@ func (s *Server) runUserGroup(sc *execScratch, spec Spec, reqs []*future) {
 			if errors.Is(err, combine.ErrBudget) {
 				s.stats.opBudgetFails.Add(1)
 			}
-			f.complete(nil, vmErr(spec, err))
+			f.complete(nil, vmErr(spec, err), nil)
 			continue
 		}
-		if f.complete(dst, nil) {
+		if f.complete(dst, nil, &s.stats.served) {
 			served++
 		} else {
 			arena.PutInt64s(dst)
 		}
 	}
-	s.stats.served.Add(uint64(served))
 	if served > 0 {
 		s.stats.recordUserServed(reg.Tenant, reg.Name, uint64(served))
 	}

@@ -57,15 +57,20 @@ type NetConfig struct {
 	// (retryable) instead of being admitted — one flooding connection
 	// exhausts its own window, not the shared queue. A request stops
 	// counting when the connection's writer takes up its answer, so a
-	// client that never reads cannot grow a pile of unwritten answers
-	// past the cap. 0 = unlimited.
+	// client that never reads cannot grow a pile of unwritten scan
+	// answers past the cap (its other answers, refusals included, wait
+	// for the writer once maxQueued are queued). 0 = unlimited.
 	PerConnInflight int
 	// IdleTimeout closes a connection that sends no byte for this
 	// long. In-flight responses still drain. Default 0 (no timeout).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write, so one client that
-	// stops reading cannot park a response goroutine (and its buffered
-	// result) forever. Default 30s when zero; < 0 disables.
+	// WriteTimeout bounds each answer's socket writes. The connection's
+	// writer flushes a whole drained queue at once but re-arms the
+	// deadline per answer that reaches the socket, so one client that
+	// stops reading cannot park the writer, and the answers queued
+	// behind it, forever: past the deadline the connection is closed and
+	// the queue is recycled unwritten. Default 30s when zero; < 0
+	// disables.
 	WriteTimeout time.Duration
 	// MaxStreams caps one connection's simultaneously-open streaming
 	// scan sessions (each holds a carry and a worker goroutine). An
@@ -126,8 +131,11 @@ func maxRespBytes(n int) int { return 48 + 21*n }
 // address), so the batch server's weighted round-robin keeps a
 // flooding connection inside its fair share of every batch.
 type NetServer struct {
-	be   Backend
-	srv  *Server // non-nil only when be is an in-process Server (Stats)
+	be Backend
+	// srv is be when be is an in-process *Server (nil otherwise): its
+	// one-shot scans are answered from the batch pipeline through a
+	// completion hook, and Stats reads its counters.
+	srv  *Server
 	ncfg NetConfig
 	ln   net.Listener
 
@@ -144,6 +152,11 @@ type NetServer struct {
 	peers *peerPool
 
 	nconns atomic.Int64
+
+	// Writer counters summed over connections (Stats.WireFrames and
+	// Stats.WireFlushes).
+	wireFrames  atomic.Uint64
+	wireFlushes atomic.Uint64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -164,7 +177,6 @@ func ListenNet(addr string, cfg Config, ncfg NetConfig) (*NetServer, error) {
 		srv.Close()
 		return nil, err
 	}
-	ns.srv = srv
 	return ns, nil
 }
 
@@ -192,6 +204,7 @@ func ListenBackend(addr string, be Backend, ncfg NetConfig) (*NetServer, error) 
 		conns:         make(map[net.Conn]struct{}),
 		done:          make(chan struct{}),
 	}
+	ns.srv, _ = be.(*Server)
 	go ns.acceptLoop()
 	return ns, nil
 }
@@ -199,14 +212,18 @@ func ListenBackend(addr string, be Backend, ncfg NetConfig) (*NetServer, error) 
 // Addr returns the bound listen address (useful with port 0).
 func (ns *NetServer) Addr() string { return ns.ln.Addr().String() }
 
-// Stats snapshots the underlying batch server's counters. For a
-// non-Server backend (ListenBackend) it returns the zero Stats; ask the
+// Stats snapshots the underlying batch server's counters plus the wire
+// writer's own (WireFrames, WireFlushes). For a non-Server backend
+// (ListenBackend) only the writer's counters are filled; ask the
 // backend for its own ledger instead.
 func (ns *NetServer) Stats() Stats {
-	if ns.srv == nil {
-		return Stats{}
+	var st Stats
+	if ns.srv != nil {
+		st = ns.srv.Stats()
 	}
-	return ns.srv.Stats()
+	st.WireFrames = ns.wireFrames.Load()
+	st.WireFlushes = ns.wireFlushes.Load()
+	return st
 }
 
 // Close stops accepting, closes every live connection, and drains the
@@ -355,30 +372,34 @@ func readLine(r *bufio.Reader, max int) ([]byte, error) {
 // connCodec abstracts one connection's wire encoding, selected by the
 // negotiation preamble (see negotiate): the legacy newline-JSON codec
 // or the binwire binary codec. The request-dispatch state machine in
-// serveConn — spec parsing, admission, streams, ownership — is shared;
-// only the byte encoding differs.
+// serveConn — spec parsing, admission, streams, ownership — is shared,
+// and so is the writer (connWriter, which both codecs embed); only the
+// byte encoding differs.
 type connCodec interface {
 	// readRequest blocks for the next request. Protocol-level failures
 	// that keep the stream in sync (bad JSON, bad frame payload) are
 	// answered and skipped internally; a returned error means the
 	// connection is done (any error response was already sent).
 	readRequest() (WireRequest, error)
-	// respond writes one response. Safe for concurrent use by the
-	// per-request goroutines and stream workers.
+	// respond queues one response for the connection's writer, first
+	// waiting while maxQueued answers already wait for it: the read loop
+	// and stream workers answer this way, so a peer that never reads
+	// stalls them instead of growing the queue.
 	respond(WireResponse)
-	// respondRelease is respond with a hook: release runs once the
-	// connection's single writer takes up this answer, just before its
-	// first byte goes to the socket. Until then the answer still counts
-	// against whatever release frees, so a peer that never reads cannot
-	// make the server pile up unwritten answers past that bound.
+	// respondRelease queues an answer without ever waiting, for the
+	// completion hooks executors run: an executor never waits on a
+	// client. release runs once the writer takes the answer up, just
+	// before its first byte goes to the socket; until then the answer
+	// still holds whatever release frees (a PerConnInflight slot), which
+	// is what bounds these answers for a peer that never reads.
 	respondRelease(resp WireResponse, release func())
 	// worstResp / worstRespFloat bound the encoded size of an n-element
 	// result, for the response-budget admission gate. The JSON codec's
 	// bounds are digit worst cases; the binary codec's are exact.
 	worstResp(n int) int
 	worstRespFloat(n int) int
-	// finish stops the codec's writer. Called after every responder
-	// (pending requests, stream workers) has finished.
+	// finish drains the writer and stops it. Called after every
+	// responder (pending requests, stream workers) has finished.
 	finish()
 }
 
@@ -422,77 +443,232 @@ func (ns *NetServer) handle(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	w := newConnWriter(ns, conn, bin)
+	go w.run()
 	var codec connCodec
 	if bin {
-		codec = newBinConn(ns, conn, r)
+		codec = &binConn{connWriter: w, r: r}
 	} else {
-		codec = &jsonConn{ns: ns, conn: conn, r: r, w: bufio.NewWriter(conn)}
+		codec = &jsonConn{connWriter: w, r: r}
 	}
 	ns.serveConn(conn, codec)
 }
 
 // jsonConn is the legacy newline-JSON codec: one request line in, one
-// response line out, responses written by per-request goroutines under
-// a write mutex.
+// response line out through the connection's writer.
 type jsonConn struct {
-	ns   *NetServer
-	conn net.Conn
-	r    *bufio.Reader
-
-	wmu sync.Mutex
-	w   *bufio.Writer
+	*connWriter
+	r *bufio.Reader
 }
 
 func (j *jsonConn) worstResp(n int) int      { return maxRespBytes(n) }
 func (j *jsonConn) worstRespFloat(n int) int { return maxRespBytesFloat(n) }
-func (j *jsonConn) finish()                  {}
 
-func (j *jsonConn) respond(resp WireResponse) { j.respondRelease(resp, nil) }
-
-func (j *jsonConn) respondRelease(resp WireResponse, release func()) {
-	var line []byte
-	var pooled []byte
-	// Hot path: success responses encode with strconv into an arena
-	// buffer — byte-identical to encoding/json for these shapes
-	// (wire_fast_test.go), with zero steady-state allocation.
-	buf := arena.GetBytes(fastRespSize(resp))[:0]
+// encodeLine renders one response as a newline-terminated JSON line in
+// an arena buffer. Success responses take the strconv fast path —
+// byte-identical to encoding/json for these shapes (wire_fast_test.go),
+// with zero steady-state allocation; the rest go through json.Marshal.
+func encodeLine(resp WireResponse) []byte {
+	buf := arena.GetBytes(fastRespSize(resp) + 1)[:0]
 	if out, ok := appendWireResponse(buf, resp); ok {
-		pooled, line = out, out
+		return append(out, '\n')
+	}
+	arena.PutBytes(buf)
+	line, err := json.Marshal(resp)
+	if err != nil {
+		// Keep the ID: an unmatchable error line would leave the
+		// client's round trip waiting forever.
+		line = fmt.Appendf(nil, `{"id":%d,"error":"response marshal failure","code":"internal"}`, resp.ID)
+	}
+	buf = arena.GetBytes(len(line) + 1)[:0]
+	return append(append(buf, line...), '\n')
+}
+
+// outFrame is one encoded arena-backed answer queued for the writer,
+// with the hook the writer runs as it takes the answer up.
+type outFrame struct {
+	buf     []byte
+	release func()
+}
+
+// maxQueued is how many answers may wait for a connection's writer
+// before respond waits for room (respondRelease never waits).
+const maxQueued = 64
+
+// connWriter is a connection's single writer, shared by both codecs.
+// Responders encode their answer into an arena buffer and append it to
+// a mutex-guarded queue; none of them writes to the socket. Completion
+// hooks (respondRelease) never wait, so an executor never waits on a
+// client; every other responder (respond) waits while maxQueued
+// answers are queued, so a client that never reads stalls the read
+// loop and the stream workers rather than growing the queue. One
+// goroutine (run) drains the whole queue at a time: it runs each
+// answer's release hook just before writing that answer, writes the
+// frames, and flushes once per drained queue, so the answers a fused
+// batch resolves for one connection leave in one write. The chaos
+// points stay per frame. After a write error or a chaos kill the writer
+// keeps draining and recycling buffers until finish, so responders
+// never notice a dead connection and the arena ledger still closes.
+type connWriter struct {
+	ns   *NetServer
+	conn net.Conn
+	bin  bool // binwire frames (and their chaos points), else JSON lines
+
+	mu     sync.Mutex
+	q      []outFrame
+	closed bool
+	room   sync.Cond // on mu; signaled each time the writer takes up the queue
+	// kick (capacity 1) wakes the writer; a responder sends only when it
+	// finds the queue empty, since any later one rides the same wake-up.
+	kick chan struct{}
+	done chan struct{} // closed when run returns
+}
+
+func newConnWriter(ns *NetServer, conn net.Conn, bin bool) *connWriter {
+	w := &connWriter{ns: ns, conn: conn, bin: bin, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	w.room.L = &w.mu
+	return w
+}
+
+func (w *connWriter) respond(resp WireResponse) { w.enqueue(resp, nil, true) }
+
+func (w *connWriter) respondRelease(resp WireResponse, release func()) {
+	w.enqueue(resp, release, false)
+}
+
+// enqueue encodes one answer and appends it to the queue, first waiting
+// for room when wait is set.
+func (w *connWriter) enqueue(resp WireResponse, release func(), wait bool) {
+	var buf []byte
+	if w.bin {
+		buf = encodeFrame(resp)
 	} else {
-		arena.PutBytes(buf)
-		var err error
-		line, err = json.Marshal(resp)
-		if err != nil {
-			// Keep the ID: an unmatchable error line would leave the
-			// client's round trip waiting forever.
-			line = []byte(fmt.Sprintf(`{"id":%d,"error":"response marshal failure","code":"internal"}`, resp.ID))
+		buf = encodeLine(resp)
+	}
+	w.mu.Lock()
+	for wait && len(w.q) >= maxQueued {
+		w.room.Wait()
+	}
+	wake := len(w.q) == 0
+	w.q = append(w.q, outFrame{buf, release})
+	w.mu.Unlock()
+	if wake {
+		select {
+		case w.kick <- struct{}{}:
+		default:
 		}
 	}
-	defer func() {
-		if pooled != nil {
-			arena.PutBytes(pooled)
+}
+
+// finish marks the queue closed and waits for the writer to drain it.
+// serveConn calls it after every responder is done, so nothing can be
+// queued behind it.
+func (w *connWriter) finish() {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	select {
+	case w.kick <- struct{}{}:
+	default:
+	}
+	<-w.done
+}
+
+// run is the writer goroutine: it swaps out the whole queue on each
+// wake-up and writes it (see connWriter), until finish.
+func (w *connWriter) run() {
+	defer close(w.done)
+	bw := bufio.NewWriterSize(w.conn, 64<<10)
+	var batch []outFrame
+	dead := false
+	for {
+		<-w.kick
+		w.mu.Lock()
+		batch, w.q = w.q, batch[:0]
+		closed := w.closed
+		w.room.Broadcast()
+		w.mu.Unlock()
+		if len(batch) > 0 {
+			dead = w.write(bw, batch, dead)
+			clear(batch)
 		}
-	}()
-	j.wmu.Lock()
-	defer j.wmu.Unlock()
-	if release != nil {
-		release()
+		if closed {
+			return
+		}
 	}
-	if j.ns.ncfg.WriteTimeout > 0 {
-		j.conn.SetWriteDeadline(time.Now().Add(j.ns.ncfg.WriteTimeout))
+}
+
+// write writes one drained queue and flushes it once, recycling every
+// buffer; on a dead connection it only runs the release hooks and
+// recycles. It reports whether the connection is dead afterwards.
+//
+// The write deadline is re-armed before each frame that spills the
+// buffer to the socket and before the final flush, so each answer's
+// socket writes get their own WriteTimeout budget however long the
+// drained queue is.
+func (w *connWriter) write(bw *bufio.Writer, batch []outFrame, dead bool) bool {
+	frames := 0
+	for _, f := range batch {
+		if f.release != nil {
+			f.release()
+		}
+		if !dead {
+			if len(f.buf) > bw.Available() {
+				w.armDeadline()
+			}
+			if dead = w.writeFrame(bw, f.buf); !dead {
+				frames++
+			}
+		}
+		arena.PutBytes(f.buf)
 	}
-	if j.ns.fpPartial.Fire() {
-		// Chaos: tear the line mid-write and kill the connection.
-		// The client must treat the torn tail as a dead conn, never
-		// as a response.
-		j.w.Write(line[:len(line)/2])
-		j.w.Flush()
-		j.conn.Close()
-		return
+	if frames > 0 {
+		w.armDeadline()
+		if err := bw.Flush(); err != nil {
+			w.conn.Close()
+			return true
+		}
+		w.ns.wireFrames.Add(uint64(frames))
+		w.ns.wireFlushes.Add(1)
 	}
-	j.w.Write(line)
-	j.w.WriteByte('\n')
-	j.w.Flush()
+	return dead
+}
+
+// armDeadline gives the socket writes that follow a fresh WriteTimeout.
+func (w *connWriter) armDeadline() {
+	if w.ns.ncfg.WriteTimeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.ns.ncfg.WriteTimeout))
+	}
+}
+
+// writeFrame buffers one frame, hosting the frame-level chaos points;
+// it reports whether the connection died. A chaos kill flushes what it
+// tore and closes the connection.
+func (w *connWriter) writeFrame(bw *bufio.Writer, frame []byte) (dead bool) {
+	ns := w.ns
+	switch {
+	case w.bin && ns.fpWireCorrupt.Fire():
+		// Chaos: flip bits in the length prefix, emit the damaged frame,
+		// and kill the connection (the declared length now lies, so
+		// leaving the conn open could strand the client mid-ReadFull
+		// waiting for bytes that will never come).
+		frame[0] ^= 0xA5
+		frame[3] ^= 0x11
+		bw.Write(frame)
+	case (w.bin && ns.fpWireTrunc.Fire()) || ns.fpPartial.Fire():
+		// Chaos: tear the answer mid-write and kill the connection. The
+		// client must treat the torn tail as a dead conn, never as a
+		// response. wire.truncate is the binary analogue of
+		// conn.partialwrite, which fires on both codecs.
+		bw.Write(frame[:len(frame)/2])
+	default:
+		if _, err := bw.Write(frame); err == nil {
+			return false
+		}
+	}
+	bw.Flush()
+	w.conn.Close()
+	return true
 }
 
 func (j *jsonConn) readRequest() (WireRequest, error) {
@@ -527,16 +703,15 @@ func (j *jsonConn) readRequest() (WireRequest, error) {
 	}
 }
 
-// serveConn reads requests off one negotiated connection, submits each
-// to the batch server, and responds as futures resolve. Responses are
-// written as the codec dictates (JSON: per-request goroutines under a
-// write mutex; binary: one writer goroutine interleaving frames), so a
-// slow batch never blocks later requests from being submitted (that is
-// the whole point of the service). Protocol errors — malformed input,
-// oversized requests, unknown specs, admission rejections — are
-// answered with a structured WireResponse carrying an error code (and
-// the request id whenever it is recoverable) rather than a silent
-// close.
+// serveConn reads requests off one negotiated connection, admits each
+// to the backend, and lets the answers find their own way back: a
+// one-shot scan's answer is encoded and queued for the connection's
+// writer by whoever resolves it (see admitScan), so a slow batch never
+// blocks later requests from being submitted (that is the whole point
+// of the service). Protocol errors — malformed input, oversized
+// requests, unknown specs, admission rejections — are answered with a
+// structured WireResponse carrying an error code (and the request id
+// whenever it is recoverable) rather than a silent close.
 //
 // Stream messages (type stream_open/stream_chunk/stream_close) are
 // routed to the connection's session table; each open stream has one
@@ -549,9 +724,9 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 		pending  sync.WaitGroup
 		inflight atomic.Int64
 	)
-	// LIFO teardown: stream workers (closeAll), then request goroutines
+	// LIFO teardown: stream workers (closeAll), then pending scans
 	// (pending.Wait), and only then the codec's writer — every responder
-	// is done before finish stops accepting responses.
+	// is done before finish drains the queue and stops.
 	defer codec.finish()
 	defer pending.Wait()
 	tenant := conn.RemoteAddr().String()
@@ -560,9 +735,21 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 	// answer: before the client can see it, so a client holding its
 	// answer is never refused by its own finished request, yet after the
 	// answer is off this goroutine's hands, so answers a non-reading
-	// client leaves unwritten stay bounded by the cap. One closure per
-	// connection keeps the request path allocation-free.
+	// client leaves unwritten stay bounded by the cap.
 	releaseSlot := func() { inflight.Add(-1) }
+	// answer is the completion hook of every scan this connection
+	// admits. It recycles the payload (the future is resolved, so
+	// nothing reads it any more), queues the encoded answer on the
+	// writer, and recycles the result. It runs wherever the outcome
+	// lands — an executor, the batcher, a scan goroutine. The closures
+	// here are made once per connection, so the request path allocates
+	// none.
+	answer := func(f *future) {
+		releaseData(f.data)
+		codec.respondRelease(scanAnswer(f), releaseSlot)
+		releaseData(f.res)
+		pending.Done()
+	}
 	cs := newConnStreams(ns, codec, tenant)
 	defer cs.closeAll()
 	for {
@@ -580,8 +767,8 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 			// One-shot scan: falls through to the submit path below.
 		case "scan_xchg":
 			// Exchange-mode piece: same admission as a one-shot (spec
-			// parse, response budget, in-flight cap), then routed to the
-			// exchange handler in the request goroutine below.
+			// parse, response budget, in-flight cap), then run on a
+			// goroutine of its own below: it blocks on peer rounds.
 		case "carry_xchg":
 			// Peer carry message: deposit in the mailbox and ack inline —
 			// a control message, not admitted work. The send-then-await
@@ -703,72 +890,107 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 		} else if limit <= 0 {
 			inflight.Add(1)
 		}
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
+		// The wire timeout is a deadline stamp, not a timer: the batcher
+		// reads it at pick time (shedIfDead).
+		var deadline time.Time
 		if req.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+			deadline = time.Now().Add(time.Duration(req.TimeoutMS) * time.Millisecond)
 		}
 		reqTenant := req.Tenant
 		if reqTenant == "" {
 			reqTenant = tenant
 		}
+		r := request{spec: spec, data: req.Data, tenant: reqTenant, deadline: deadline,
+			hook: answer, tag: wireTag{id: req.ID, float: isFloat}}
 		pending.Add(1)
-		go func(req WireRequest, cancel context.CancelFunc) {
-			defer pending.Done()
-			resp, res := ns.runScan(ctx, spec, req, isFloat, reqTenant)
-			cancel()
-			codec.respondRelease(resp, releaseSlot)
-			releaseData(res)
-		}(req, cancel)
+		if req.Type == "scan_xchg" {
+			go ns.runXchg(r, req)
+			continue
+		}
+		ns.admitScan(r, req.FData)
 	}
 }
 
-// runScan executes one admitted scan (one-shot or scan_xchg piece) and
-// returns its answer, plus the arena result buffer to release once the
-// answer is written (nil when there is none). It owns req.Data.
-func (ns *NetServer) runScan(ctx context.Context, spec Spec, req WireRequest, isFloat bool, tenant string) (WireResponse, []int64) {
-	fail := func(err error) (WireResponse, []int64) {
-		return WireResponse{ID: req.ID, Error: err.Error(), Code: codeForError(err)}, nil
+// wireTag is what a one-shot scan's answer needs besides its outcome:
+// the request id, and whether to map the result back to float64.
+type wireTag struct {
+	id    uint64
+	float bool
+}
+
+// scanAnswer builds the response for a resolved scan.
+func scanAnswer(f *future) WireResponse {
+	id := f.tag.id
+	switch {
+	case f.err != nil:
+		return WireResponse{ID: id, Error: f.err.Error(), Code: codeForError(f.err)}
+	case f.tag.float:
+		return WireResponse{ID: id, FResult: floatResults(f.spec.Op, f.res)}
+	case f.res == nil:
+		return WireResponse{ID: id, Result: []int64{}}
 	}
-	if req.Type == "scan_xchg" {
-		if isFloat {
-			releaseData(req.Data)
-			return WireResponse{ID: req.ID, Error: "scan_xchg carries int64 keys only (floats are re-keyed coordinator-side)", Code: CodeBadRequest}, nil
-		}
-		res, err := ns.serveXchgPiece(ctx, spec, req, tenant)
-		releaseData(req.Data)
+	return WireResponse{ID: id, Result: f.res}
+}
+
+// resolve hands the outcome of a request served outside the batch
+// pipeline to its hook, as a one-off future.
+func (r request) resolve(res []int64, err error) {
+	r.hook(&future{spec: r.spec, data: r.data, tag: r.tag, res: res, err: err})
+}
+
+// deadlineCtx is a context that expires at deadline (never, when zero).
+func deadlineCtx(deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return context.Background(), func() {}
+	}
+	return context.WithDeadline(context.Background(), deadline)
+}
+
+// admitScan admits one one-shot scan, whose r.hook receives the
+// outcome exactly once; the hook owns r.data from then on (and fdata
+// is the float payload that replaces it when r.tag.float). With an
+// in-process *Server backend the scan is admitted with that hook and
+// answered straight from the batch pipeline: no goroutine, no timer.
+// Any other backend (a cluster coordinator, whose pieces block on the
+// network anyway) runs a goroutine around its blocking Scan.
+func (ns *NetServer) admitScan(r request, fdata []float64) {
+	if r.tag.float {
+		releaseData(r.data) // the float payload rides fdata
+		keys, err := floatKeys(r.spec.Op, fdata)
+		r.data = keys
 		if err != nil {
-			return fail(err)
+			r.resolve(nil, err)
+			return
 		}
-		if res == nil {
-			res = []int64{}
+	}
+	if ns.srv != nil {
+		if _, err := ns.srv.submitReq(nil, r); err != nil {
+			r.resolve(nil, err)
 		}
-		return WireResponse{ID: req.ID, Result: res}, res
+		return
 	}
-	data := req.Data
-	if isFloat {
-		releaseData(req.Data) // float payload rides FData
-		keys, err := floatKeys(spec.Op, req.FData)
-		if err != nil {
-			return fail(err)
-		}
-		data = keys
+	go func() {
+		ctx, cancel := deadlineCtx(r.deadline)
+		res, err := ns.be.Scan(ctx, r.spec, r.data, r.tenant)
+		cancel()
+		// Any return from Scan — result or error — means the backend is
+		// done reading the payload, so the hook may recycle it
+		// (DESIGN.md "Arena ownership").
+		r.resolve(res, err)
+	}()
+}
+
+// runXchg runs one admitted scan_xchg piece — on a goroutine of its
+// own, since it blocks on peer rounds — and resolves it.
+func (ns *NetServer) runXchg(r request, req WireRequest) {
+	if r.tag.float {
+		r.resolve(nil, fmt.Errorf("%w: scan_xchg carries int64 keys only (floats are re-keyed coordinator-side)", ErrBadRequest))
+		return
 	}
-	res, err := ns.be.Scan(ctx, spec, data, tenant)
-	// Any return from Scan — result or error — means the future is
-	// resolved, so the pipeline is done reading the payload and its
-	// buffer can circulate (DESIGN.md "Arena ownership").
-	releaseData(data)
-	if err != nil {
-		return fail(err)
-	}
-	if isFloat {
-		return WireResponse{ID: req.ID, FResult: floatResults(spec.Op, res)}, res
-	}
-	if res == nil {
-		res = []int64{}
-	}
-	return WireResponse{ID: req.ID, Result: res}, res
+	ctx, cancel := deadlineCtx(r.deadline)
+	res, err := ns.serveXchgPiece(ctx, r.spec, req, r.tenant)
+	cancel()
+	r.resolve(res, err)
 }
 
 // Client is a line-protocol client for NetServer / cmd/scansd. One

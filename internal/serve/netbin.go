@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"scans/internal/arena"
@@ -14,10 +13,10 @@ import (
 // The binary codec: serve's side of the internal/binwire protocol.
 // This file maps between the wire-string vocabulary the shared dispatch
 // (serveConn, ParseSpec, connStreams) speaks and binwire's compact
-// frames, and implements the server's per-connection writer goroutine —
-// the mux half of the protocol: responses from any number of in-flight
-// requests and stream workers funnel through one channel and are
-// interleaved onto the socket in completion order.
+// frames. The mux half of the protocol is the connection's writer
+// (connWriter, shared with the JSON codec): answers from any number of
+// in-flight requests and stream workers are interleaved onto the socket
+// in completion order.
 
 // Enum byte mappings. Encoders map unknown strings to binwire.Invalid
 // and decoders map unknown bytes to strings no Parse accepts, so a bad
@@ -210,39 +209,10 @@ func wireFromBin(q binwire.Request) WireRequest {
 	return req
 }
 
-// binRespQueueDepth buffers the writer's channel: deep enough that the
-// common burst of completions (a fused batch resolving many of this
-// connection's futures at once) rarely blocks a responder on the
-// socket, shallow enough to bound per-connection memory.
-const binRespQueueDepth = 64
-
 // binConn is the binary codec for one server connection.
 type binConn struct {
-	ns   *NetServer
-	conn net.Conn
-	r    *bufio.Reader
-
-	out   chan binFrame // closed by finish
-	wdone chan struct{}
-}
-
-// binFrame is one encoded arena-backed response frame on its way to the
-// writer, with the hook the writer runs as it takes the frame up.
-type binFrame struct {
-	buf     []byte
-	release func()
-}
-
-func newBinConn(ns *NetServer, conn net.Conn, r *bufio.Reader) *binConn {
-	b := &binConn{
-		ns:    ns,
-		conn:  conn,
-		r:     r,
-		out:   make(chan binFrame, binRespQueueDepth),
-		wdone: make(chan struct{}),
-	}
-	go b.writeLoop()
-	return b
+	*connWriter
+	r *bufio.Reader
 }
 
 // Binary results are 8 bytes per element plus a fixed header — exact,
@@ -252,12 +222,9 @@ func newBinConn(ns *NetServer, conn net.Conn, r *bufio.Reader) *binConn {
 func (b *binConn) worstResp(n int) int      { return binwire.ResultFrameBytes(n) }
 func (b *binConn) worstRespFloat(n int) int { return binwire.ResultFrameBytes(n) }
 
-// respond encodes one response into an arena buffer and hands it to the
-// writer goroutine. Never blocks indefinitely on a dead connection: the
-// writer drains the channel unconditionally until finish closes it.
-func (b *binConn) respond(resp WireResponse) { b.respondRelease(resp, nil) }
-
-func (b *binConn) respondRelease(resp WireResponse, release func()) {
+// encodeFrame renders one response as a binwire frame in an arena
+// buffer.
+func encodeFrame(resp WireResponse) []byte {
 	var frame []byte
 	switch {
 	case resp.Error != "" || resp.Code != "":
@@ -284,71 +251,7 @@ func (b *binConn) respondRelease(resp WireResponse, release func()) {
 		frame = arena.GetBytes(binwire.ResultFrameBytes(len(resp.Result)))[:0]
 		frame = binwire.AppendResult(frame, resp.ID, resp.Result)
 	}
-	b.out <- binFrame{frame, release}
-}
-
-// writeLoop is the connection's single writer: it interleaves response
-// frames in completion order, applies the write deadline, and hosts the
-// frame-level chaos points. After any write failure (or a fired chaos
-// kill) it keeps draining the channel and recycling buffers, so
-// responders never block on a dead connection and the arena ledger
-// still closes.
-func (b *binConn) writeLoop() {
-	defer close(b.wdone)
-	w := bufio.NewWriterSize(b.conn, 64<<10)
-	dead := false
-	for f := range b.out {
-		frame := f.buf
-		if f.release != nil {
-			f.release()
-		}
-		if dead {
-			arena.PutBytes(frame)
-			continue
-		}
-		if b.ns.ncfg.WriteTimeout > 0 {
-			b.conn.SetWriteDeadline(time.Now().Add(b.ns.ncfg.WriteTimeout))
-		}
-		switch {
-		case b.ns.fpWireCorrupt.Fire():
-			// Chaos: flip bits in the length prefix, emit the damaged
-			// frame, and kill the connection (the declared length now
-			// lies, so leaving the conn open could strand the client
-			// mid-ReadFull waiting for bytes that will never come).
-			frame[0] ^= 0xA5
-			frame[3] ^= 0x11
-			w.Write(frame)
-			w.Flush()
-			b.conn.Close()
-			dead = true
-		case b.ns.fpWireTrunc.Fire() || b.ns.fpPartial.Fire():
-			// Chaos: tear the frame mid-write and kill the connection —
-			// the binary analogue of conn.partialwrite, which also fires
-			// here so existing chaos configs cover both codecs.
-			w.Write(frame[:len(frame)/2])
-			w.Flush()
-			b.conn.Close()
-			dead = true
-		default:
-			_, err := w.Write(frame)
-			if err == nil {
-				err = w.Flush()
-			}
-			if err != nil {
-				b.conn.Close()
-				dead = true
-			}
-		}
-		arena.PutBytes(frame)
-	}
-}
-
-// finish closes the writer channel and waits for the writer to drain.
-// serveConn calls it after every responder is done, so no send can race
-// the close.
-func (b *binConn) finish() {
-	close(b.out)
-	<-b.wdone
+	return frame
 }
 
 // readRequest reads and decodes the next frame. Payload-level damage

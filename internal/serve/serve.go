@@ -21,6 +21,17 @@
 // workers cost more in synchronization and memory traffic than it won
 // (DESIGN.md §7).
 //
+// Over TCP (NetServer) the pipeline starts and ends at a connection:
+// one reader goroutine decodes and admits each one-shot scan with a
+// completion hook on its future, and whoever resolves the future —
+// executor or batcher — encodes the answer and appends it to the
+// connection's queue, where one writer goroutine writes everything
+// queued and flushes once (DESIGN.md §8). Executors never wait on that
+// queue; the reader and stream workers wait for room in it, so a
+// client that stops reading stalls its own connection. No goroutine or
+// timer is made per request: a wire timeout is a deadline stamp the
+// batcher checks at pick time.
+//
 // The failure model (see DESIGN.md "Failure model") is: admission is
 // where overload is rejected (ErrOverloaded), the batcher is where
 // dead work is shed (expired contexts and over-age queue entries are
@@ -381,6 +392,17 @@ type request struct {
 	// across time). Set only by Stream.Push.
 	seeded bool
 	carry  int64
+
+	// deadline, when set, drops the request unexecuted once it has
+	// passed, exactly like an expired context (context.DeadlineExceeded,
+	// counted in DeadlineDrops). It is the wire's timeout_ms stamped at
+	// admission: no timer runs behind it, the batcher reads it at pick
+	// time.
+	deadline time.Time
+	// hook, when set, takes the outcome in place of a waiter (see
+	// future.hook); tag rides along for it.
+	hook func(*future)
+	tag  wireTag
 }
 
 // future is the handle for an in-flight request. wait blocks until the
@@ -397,6 +419,7 @@ type future struct {
 	spec     Spec
 	tenant   string
 	ctx      context.Context
+	deadline time.Time // zero = none; see request.deadline
 	enqueued time.Time
 	data     []int64
 	seeded   bool  // stream chunk: fold carry in at the segment head
@@ -407,10 +430,17 @@ type future struct {
 	// done is a one-token completion channel (capacity 1): complete
 	// sends the single token, wait consumes it.
 	done chan struct{}
-	// refs is the 2-party release count: one ref for the inline waiter,
-	// one for the batch pipeline (batcher or executor — whichever
-	// resolves the future releases it). The last release recycles the
-	// future.
+	// hook, when set, stands in for the waiter: complete calls it with
+	// the future resolved, on whichever goroutine resolved it (batcher,
+	// executor, or the submitter for an empty request), then drops the
+	// waiter's ref. The hook must not block, and must not touch the
+	// future after it returns. tag is its per-request argument.
+	hook func(*future)
+	tag  wireTag
+	// refs is the 2-party release count: one ref for the inline waiter
+	// (or the hook), one for the batch pipeline (batcher or executor —
+	// whichever resolves the future releases it). The last release
+	// recycles the future.
 	refs atomic.Int32
 }
 
@@ -430,6 +460,9 @@ func putFuture(f *future) {
 	f.spec = Spec{}
 	f.tenant = ""
 	f.ctx = nil
+	f.deadline = time.Time{}
+	f.hook = nil
+	f.tag = wireTag{}
 	f.data = nil
 	f.res = nil
 	f.err = nil
@@ -450,12 +483,23 @@ func (f *future) release() {
 // complete resolves the future exactly once; later calls are no-ops.
 // The single-resolution guarantee is what makes panic recovery safe:
 // a recover handler can blanket-fail a batch without double-resolving
-// futures the scatter loop already delivered.
-func (f *future) complete(res []int64, err error) bool {
+// futures the scatter loop already delivered. outcome, when non-nil, is
+// the Stats counter of this terminal outcome; it counts before the
+// outcome is delivered, so a caller holding an answer always sees it
+// counted.
+func (f *future) complete(res []int64, err error, outcome *atomic.Uint64) bool {
 	if !f.resolved.CompareAndSwap(false, true) {
 		return false
 	}
+	if outcome != nil {
+		outcome.Add(1)
+	}
 	f.res, f.err = res, err
+	if f.hook != nil {
+		f.hook(f)
+		f.release() // the hook's ref, in place of the waiter's
+		return true
+	}
 	f.done <- struct{}{} // cap 1, sent at most once: never blocks
 	return true
 }
@@ -547,12 +591,17 @@ func (s *Server) start() {
 // a nil or background context means "serve whenever"; a context with a
 // deadline lets the batcher drop the request unexecuted once it expires
 // (the future resolves with the context's error). An already-expired
-// context is rejected outright.
+// context is rejected outright. r.deadline works like a context
+// deadline without the context.
+//
+// With r.hook set there is no waiter: the hook receives the outcome
+// (see future.hook) and submitReq returns a nil future. An error return
+// means the hook never runs.
 //
 // The data slice is retained until the batch executes; callers must
-// not mutate it before wait returns. Returns ErrOverloaded when the
-// queue is full, ErrClosed after Close, ErrBadRequest for an invalid
-// Spec.
+// not mutate it before the future resolves. Returns ErrOverloaded when
+// the queue is full, ErrClosed after Close, ErrBadRequest for an
+// invalid Spec.
 func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 	if !r.spec.valid() {
 		s.stats.rejected.Add(1)
@@ -575,6 +624,9 @@ func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 	f.spec = r.spec
 	f.tenant = r.tenant
 	f.ctx = ctx
+	f.deadline = r.deadline
+	f.hook = r.hook
+	f.tag = r.tag
 	f.enqueued = time.Now()
 	f.data = r.data
 	f.seeded = r.seeded
@@ -589,9 +641,11 @@ func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 		// requests can never occupy batch slots. Only the waiter holds a
 		// reference — the batch pipeline never sees this future.
 		f.refs.Store(1)
-		f.complete([]int64{}, nil)
 		s.stats.requests.Add(1)
-		s.stats.served.Add(1)
+		f.complete([]int64{}, nil, &s.stats.served)
+		if r.hook != nil {
+			return nil, nil
+		}
 		return f, nil
 	}
 	f.refs.Store(2) // waiter + batch pipeline
@@ -608,11 +662,17 @@ func (s *Server) submitReq(ctx context.Context, r request) (*future, error) {
 		putFuture(f) // never enqueued: we own both refs
 		return nil, ErrClosed
 	}
+	// Count the request before the send: once enqueued it may resolve,
+	// and its outcome must never be counted ahead of it.
+	s.stats.requests.Add(1)
 	select {
 	case s.queue <- f:
-		s.stats.requests.Add(1)
+		if r.hook != nil {
+			return nil, nil // f belongs to the pipeline and the hook now
+		}
 		return f, nil
 	default:
+		s.stats.requests.Add(^uint64(0))
 		s.stats.rejected.Add(1)
 		putFuture(f)
 		return nil, ErrOverloaded
@@ -741,23 +801,25 @@ func (s *Server) Close() {
 }
 
 // shedIfDead resolves a future whose caller has stopped caring —
-// expired/canceled context, or queued beyond QueueAgeLimit — and
-// reports whether it did. This is the batcher's admission gate into a
-// batch: dead work is dropped BEFORE a kernel pass spends cycles on
-// it (the Figure 10 amortization argument applied to failure: overhead
-// is paid once per batch, and never for work nobody will read).
+// expired/canceled context, a passed deadline stamp, or queued beyond
+// QueueAgeLimit — and reports whether it did. This is the batcher's
+// admission gate into a batch: dead work is dropped BEFORE a kernel
+// pass spends cycles on it (the Figure 10 amortization argument applied
+// to failure: overhead is paid once per batch, and never for work
+// nobody will read). Besides admission, this is the only place the
+// server reads a request's context.
 func (s *Server) shedIfDead(f *future, now time.Time) bool {
-	if err := f.ctx.Err(); err != nil {
-		if f.complete(nil, err) {
-			s.stats.deadlineDrops.Add(1)
-		}
+	err := f.ctx.Err()
+	if err == nil && !f.deadline.IsZero() && now.After(f.deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		f.complete(nil, err, &s.stats.deadlineDrops)
 		return true
 	}
 	if lim := s.cfg.QueueAgeLimit; lim > 0 {
 		if age := now.Sub(f.enqueued); age > lim {
-			if f.complete(nil, fmt.Errorf("%w: queued %v, limit %v", ErrShed, age.Round(time.Microsecond), lim)) {
-				s.stats.shed.Add(1)
-			}
+			f.complete(nil, fmt.Errorf("%w: queued %v, limit %v", ErrShed, age.Round(time.Microsecond), lim), &s.stats.shed)
 			return true
 		}
 	}
@@ -844,9 +906,7 @@ func (s *Server) assemble(pend *tenantQueues, open *bool) []*future {
 				// entry. The request fails typed and retryable instead of
 				// executing on damaged state — the fail-safe contract a
 				// real detector would honor.
-				if f.complete(nil, fmt.Errorf("%w: queue corruption detected (injected fault)", ErrInternal)) {
-					s.stats.corruptDrops.Add(1)
-				}
+				f.complete(nil, fmt.Errorf("%w: queue corruption detected (injected fault)", ErrInternal), &s.stats.corruptDrops)
 				f.release()
 				continue
 			}
@@ -952,9 +1012,7 @@ func (s *Server) failBatch(batch []*future, cause any) {
 	s.stats.panics.Add(1)
 	err := fmt.Errorf("%w: %v", ErrInternal, cause)
 	for _, f := range batch {
-		if f.complete(nil, err) {
-			s.stats.panicFailed.Add(1)
-		}
+		f.complete(nil, err, &s.stats.panicFailed)
 	}
 }
 

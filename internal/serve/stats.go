@@ -183,6 +183,14 @@ type Stats struct {
 	// (cold pool or over-max size). A high miss rate under steady load
 	// means buffers are leaking instead of circulating. Process-wide.
 	ArenaMisses uint64
+	// WireFrames counts answers the TCP front end's connection writers
+	// delivered, and WireFlushes the successful flushes that carried
+	// them, summed over connections (NetServer.Stats fills both, for
+	// every backend; a bare Server reports zero). Each writer flushes
+	// once per drained queue, so WireFrames/WireFlushes is the answers
+	// coalesced per write.
+	WireFrames  uint64
+	WireFlushes uint64
 }
 
 // String renders the snapshot in one line for logs.
@@ -193,14 +201,14 @@ func (s Stats) String() string {
 			"streams{open=%d closed=%d failed=%d expired=%d active=%d} "+
 			"user_ops{registered=%d rejected=%d budget_fails=%d served=%d} "+
 			"vm_dispatch{promoted=%d vector=%d scalar=%d} "+
-			"arena{bytes_pooled=%d misses=%d}",
+			"arena{bytes_pooled=%d misses=%d} wire{frames=%d flushes=%d}",
 		s.Requests, s.Rejected, s.Served, s.DeadlineDrops, s.Shed, s.Panics, s.PanicFailed, s.CorruptDrops,
 		s.Batches, s.Groups, s.FusedElements,
 		s.P50Occupancy, s.P99Occupancy, s.MaxOccupancy,
 		s.StreamsOpened, s.StreamsClosed, s.StreamsFailed, s.StreamsExpired, s.StreamsActive,
 		s.OpRegisters, s.OpRejects, s.OpBudgetFails, s.userServedTotal(),
 		s.VMPromotedReqs, s.VMVectorReqs, s.VMScalarReqs,
-		s.BytesPooled, s.ArenaMisses)
+		s.BytesPooled, s.ArenaMisses, s.WireFrames, s.WireFlushes)
 }
 
 // userServedTotal sums the per-registration serve counts.

@@ -33,6 +33,18 @@ go test -race ./...
 echo "== chaos soak (short, -race)"
 go test -race -short -count=1 -run '^TestChaosSoak$' ./internal/serve/
 
+echo "== connection writer gate (-race -count=20)"
+# One writer per connection drains its whole answer queue per flush, and
+# executors answer one-shot scans through a completion hook. Twenty
+# repeats under the race detector: queued answers leave in order in one
+# flush with each release hook first, a dead or chaos-killed connection
+# still recycles every buffer, a client that never reads stalls the read
+# loop at a bounded queue, each answer's writes get their own write
+# deadline, an executor never waits on a socket, a wire deadline is
+# dropped at pick time, and the in-flight caps and the client deadline
+# hold.
+go test -race -count=20 -run '^(TestConnWriterOneFlushInOrder|TestConnWriterDrainsAfterWriteError|TestConnWriterDrainsAfterChaosKill|TestConnWriterBoundsNonReadingClient|TestConnWriterDeadlinePerWrite|TestNetExecutorNeverBlocksOnSocket|TestNetWireDeadlineDrop|TestNetPerConnInflightCap|TestNetPerConnInflightCapNonReadingClient|TestNetClientCtxDeadline)$' ./internal/serve/
+
 echo "== cluster chaos soak (short, -race)"
 # Fails on any lost/corrupted scan or a coordinator ledger imbalance
 # (requests != served + shard_failed + deadline) — the test asserts
