@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -443,13 +444,13 @@ func (ns *NetServer) handle(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	w := newConnWriter(ns, conn, bin)
+	w := ns.answerWriter(conn, bin)
 	go w.run()
 	var codec connCodec
 	if bin {
-		codec = &binConn{connWriter: w, r: r}
+		codec = &binConn{connWriter: w, ns: ns, r: r}
 	} else {
-		codec = &jsonConn{connWriter: w, r: r}
+		codec = &jsonConn{connWriter: w, ns: ns, r: r}
 	}
 	ns.serveConn(conn, codec)
 }
@@ -458,7 +459,8 @@ func (ns *NetServer) handle(conn net.Conn) {
 // response line out through the connection's writer.
 type jsonConn struct {
 	*connWriter
-	r *bufio.Reader
+	ns *NetServer
+	r  *bufio.Reader
 }
 
 func (j *jsonConn) worstResp(n int) int      { return maxRespBytes(n) }
@@ -491,66 +493,103 @@ type outFrame struct {
 	release func()
 }
 
-// maxQueued is how many answers may wait for a connection's writer
-// before respond waits for room (respondRelease never waits).
+// maxQueued is how many frames may wait for a connection's writer
+// before a sender that waits for room (respond, a client's request)
+// waits; respondRelease never waits.
 const maxQueued = 64
 
-// connWriter is a connection's single writer, shared by both codecs.
-// Responders encode their answer into an arena buffer and append it to
-// a mutex-guarded queue; none of them writes to the socket. Completion
-// hooks (respondRelease) never wait, so an executor never waits on a
-// client; every other responder (respond) waits while maxQueued
-// answers are queued, so a client that never reads stalls the read
-// loop and the stream workers rather than growing the queue. One
-// goroutine (run) drains the whole queue at a time: it runs each
-// answer's release hook just before writing that answer, writes the
-// frames, and flushes once per drained queue, so the answers a fused
-// batch resolves for one connection leave in one write. The chaos
+// connWriter is a connection's single writer, at both ends: a
+// NetServer's answers on either codec and a Client's requests go
+// through one. Senders encode their frame into an arena buffer and
+// append it to a mutex-guarded queue; none of them writes to the
+// socket. Completion hooks (respondRelease) never wait, so an executor
+// never waits on a client; every other sender waits while maxQueued
+// frames are queued, so a peer that never reads stalls the senders
+// (the read loop, the stream workers, a client's callers) rather than
+// growing the queue. One goroutine (run) drains the whole queue at a
+// time: it runs each frame's release hook just before writing that
+// frame, writes the frames, and flushes once per drained queue, so the
+// answers a fused batch resolves for one connection, or the requests
+// a client's callers send together, leave in one write. The chaos
 // points stay per frame. After a write error or a chaos kill the writer
-// keeps draining and recycling buffers until finish, so responders
-// never notice a dead connection and the arena ledger still closes.
+// closes the connection and keeps draining and recycling buffers until
+// finish, so senders never notice a dead connection and the arena
+// ledger still closes; the peer's read side reports the failure.
 type connWriter struct {
-	ns   *NetServer
 	conn net.Conn
-	bin  bool // binwire frames (and their chaos points), else JSON lines
+	bin  bool // respond encodes binwire frames, else JSON lines
+	// timeout bounds each frame's socket writes (<= 0: none). The chaos
+	// points are nil where they do not apply: on a client, and trunc and
+	// corrupt on a JSON connection.
+	timeout                       time.Duration
+	fpPartial, fpTrunc, fpCorrupt *fault.Point
+	// frames and flushes count the frames that reached the socket and
+	// the flushes that carried them.
+	frames, flushes *atomic.Uint64
 
 	mu     sync.Mutex
 	q      []outFrame
 	closed bool
 	room   sync.Cond // on mu; signaled each time the writer takes up the queue
-	// kick (capacity 1) wakes the writer; a responder sends only when it
+	// kick (capacity 1) wakes the writer; a sender sends only when it
 	// finds the queue empty, since any later one rides the same wake-up.
 	kick chan struct{}
 	done chan struct{} // closed when run returns
 }
 
-func newConnWriter(ns *NetServer, conn net.Conn, bin bool) *connWriter {
-	w := &connWriter{ns: ns, conn: conn, bin: bin, kick: make(chan struct{}, 1), done: make(chan struct{})}
+func newConnWriter(conn net.Conn, frames, flushes *atomic.Uint64) *connWriter {
+	w := &connWriter{conn: conn, frames: frames, flushes: flushes,
+		kick: make(chan struct{}, 1), done: make(chan struct{})}
 	w.room.L = &w.mu
 	return w
 }
 
-func (w *connWriter) respond(resp WireResponse) { w.enqueue(resp, nil, true) }
-
-func (w *connWriter) respondRelease(resp WireResponse, release func()) {
-	w.enqueue(resp, release, false)
+// answerWriter is the writer for one server connection, counting into
+// the server's WireFrames/WireFlushes.
+func (ns *NetServer) answerWriter(conn net.Conn, bin bool) *connWriter {
+	w := newConnWriter(conn, &ns.wireFrames, &ns.wireFlushes)
+	w.bin = bin
+	w.timeout = ns.ncfg.WriteTimeout
+	w.fpPartial = ns.fpPartial
+	if bin {
+		w.fpTrunc, w.fpCorrupt = ns.fpWireTrunc, ns.fpWireCorrupt
+	}
+	return w
 }
 
-// enqueue encodes one answer and appends it to the queue, first waiting
-// for room when wait is set.
-func (w *connWriter) enqueue(resp WireResponse, release func(), wait bool) {
-	var buf []byte
+func (w *connWriter) respond(resp WireResponse) { w.send(w.encode(resp), nil, true) }
+
+func (w *connWriter) respondRelease(resp WireResponse, release func()) {
+	w.send(w.encode(resp), release, false)
+}
+
+// encode renders one answer in the connection's codec.
+func (w *connWriter) encode(resp WireResponse) []byte {
 	if w.bin {
-		buf = encodeFrame(resp)
-	} else {
-		buf = encodeLine(resp)
+		return encodeFrame(resp)
 	}
+	return encodeLine(resp)
+}
+
+// send queues one encoded arena frame and the hook to run as the
+// writer takes it up, first waiting for room when wait is set. After
+// finish it recycles the frame unsent, runs the hook, and reports
+// net.ErrClosed.
+func (w *connWriter) send(frame []byte, release func(), wait bool) error {
 	w.mu.Lock()
-	for wait && len(w.q) >= maxQueued {
+	for wait && len(w.q) >= maxQueued && !w.closed {
 		w.room.Wait()
 	}
+	if w.closed {
+		w.mu.Unlock()
+		if release != nil {
+			release()
+		}
+		arena.PutBytes(frame)
+		return net.ErrClosed
+	}
 	wake := len(w.q) == 0
-	w.q = append(w.q, outFrame{buf, release})
+	w.q = append(w.q, outFrame{frame, release})
 	w.mu.Unlock()
 	if wake {
 		select {
@@ -558,14 +597,17 @@ func (w *connWriter) enqueue(resp WireResponse, release func(), wait bool) {
 		default:
 		}
 	}
+	return nil
 }
 
-// finish marks the queue closed and waits for the writer to drain it.
-// serveConn calls it after every responder is done, so nothing can be
-// queued behind it.
+// finish marks the queue closed, wakes any sender waiting for room, and
+// waits for the writer to drain the queue. A NetServer calls it after
+// every responder is done, so nothing is queued behind it; a Client
+// calls it once its connection is dead, and later sends fail.
 func (w *connWriter) finish() {
 	w.mu.Lock()
 	w.closed = true
+	w.room.Broadcast()
 	w.mu.Unlock()
 	select {
 	case w.kick <- struct{}{}:
@@ -576,6 +618,12 @@ func (w *connWriter) finish() {
 
 // run is the writer goroutine: it swaps out the whole queue on each
 // wake-up and writes it (see connWriter), until finish.
+//
+// Each wake-up yields once before the swap. The sender that woke the
+// writer put it in its own P's next-run slot, so without the yield the
+// writer runs the moment that sender parks: before the other senders
+// woken by the same event (one read of a response batch, one fused
+// batch resolved) have queued, and it drains a single frame.
 func (w *connWriter) run() {
 	defer close(w.done)
 	bw := bufio.NewWriterSize(w.conn, 64<<10)
@@ -583,6 +631,7 @@ func (w *connWriter) run() {
 	dead := false
 	for {
 		<-w.kick
+		runtime.Gosched()
 		w.mu.Lock()
 		batch, w.q = w.q, batch[:0]
 		closed := w.closed
@@ -603,9 +652,9 @@ func (w *connWriter) run() {
 // recycles. It reports whether the connection is dead afterwards.
 //
 // The write deadline is re-armed before each frame that spills the
-// buffer to the socket and before the final flush, so each answer's
-// socket writes get their own WriteTimeout budget however long the
-// drained queue is.
+// buffer to the socket and before the final flush, so each frame's
+// socket writes get their own timeout budget however long the drained
+// queue is.
 func (w *connWriter) write(bw *bufio.Writer, batch []outFrame, dead bool) bool {
 	frames := 0
 	for _, f := range batch {
@@ -628,16 +677,16 @@ func (w *connWriter) write(bw *bufio.Writer, batch []outFrame, dead bool) bool {
 			w.conn.Close()
 			return true
 		}
-		w.ns.wireFrames.Add(uint64(frames))
-		w.ns.wireFlushes.Add(1)
+		w.frames.Add(uint64(frames))
+		w.flushes.Add(1)
 	}
 	return dead
 }
 
-// armDeadline gives the socket writes that follow a fresh WriteTimeout.
+// armDeadline gives the socket writes that follow a fresh timeout.
 func (w *connWriter) armDeadline() {
-	if w.ns.ncfg.WriteTimeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.ns.ncfg.WriteTimeout))
+	if w.timeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 	}
 }
 
@@ -645,9 +694,8 @@ func (w *connWriter) armDeadline() {
 // it reports whether the connection died. A chaos kill flushes what it
 // tore and closes the connection.
 func (w *connWriter) writeFrame(bw *bufio.Writer, frame []byte) (dead bool) {
-	ns := w.ns
 	switch {
-	case w.bin && ns.fpWireCorrupt.Fire():
+	case w.fpCorrupt.Fire():
 		// Chaos: flip bits in the length prefix, emit the damaged frame,
 		// and kill the connection (the declared length now lies, so
 		// leaving the conn open could strand the client mid-ReadFull
@@ -655,7 +703,7 @@ func (w *connWriter) writeFrame(bw *bufio.Writer, frame []byte) (dead bool) {
 		frame[0] ^= 0xA5
 		frame[3] ^= 0x11
 		bw.Write(frame)
-	case (w.bin && ns.fpWireTrunc.Fire()) || ns.fpPartial.Fire():
+	case w.fpTrunc.Fire() || w.fpPartial.Fire():
 		// Chaos: tear the answer mid-write and kill the connection. The
 		// client must treat the torn tail as a dead conn, never as a
 		// response. wire.truncate is the binary analogue of
@@ -1006,9 +1054,9 @@ type Client struct {
 	maxLine int
 	bin     bool
 	r       *bufio.Reader
-
-	wmu sync.Mutex
-	w   *bufio.Writer
+	// w sends every request; frames and flushes are its counters.
+	w               *connWriter
+	frames, flushes atomic.Uint64
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -1070,21 +1118,29 @@ func DialMaxLineProto(addr string, maxLineBytes int, proto string) (*Client, err
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		maxLine: maxLineBytes + 64<<10,
-		waiters: make(map[uint64]chan WireResponse),
-	}
-	c.r = bufio.NewReaderSize(conn, 64<<10)
-	c.w = bufio.NewWriter(conn)
+	c := newClient(conn, maxLineBytes)
 	if bin {
 		if err := c.negotiate(); err != nil {
 			conn.Close()
 			return nil, err
 		}
 	}
+	go c.w.run()
 	go c.readLoop()
 	return c, nil
+}
+
+// newClient wraps a connected conn; the caller negotiates the codec and
+// starts the writer and the read loop.
+func newClient(conn net.Conn, maxLineBytes int) *Client {
+	c := &Client{
+		conn:    conn,
+		maxLine: maxLineBytes + 64<<10,
+		r:       bufio.NewReaderSize(conn, 64<<10),
+		waiters: make(map[uint64]chan WireResponse),
+	}
+	c.w = newConnWriter(conn, &c.frames, &c.flushes)
+	return c
 }
 
 // negotiate runs the client half of the binary handshake (see
@@ -1249,12 +1305,8 @@ func (c *Client) startRequest(ctx context.Context, req WireRequest) (pendingResp
 	}
 	c.mu.Lock()
 	if c.closed {
-		err := c.readErr
 		c.mu.Unlock()
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return zero, err
+		return zero, c.connErr()
 	}
 	c.nextID++
 	id := c.nextID
@@ -1271,9 +1323,24 @@ func (c *Client) startRequest(ctx context.Context, req WireRequest) (pendingResp
 	}
 	if err != nil {
 		c.abandonWaiter(id, ch)
+		if errors.Is(err, net.ErrClosed) {
+			err = c.connErr()
+		}
 		return zero, err
 	}
 	return pendingResp{id: id, ch: ch}, nil
+}
+
+// connErr is a dead connection's error for its round trips: what ended
+// the read loop, or net.ErrClosed.
+func (c *Client) connErr() error {
+	c.mu.Lock()
+	err := c.readErr
+	c.mu.Unlock()
+	if err == nil {
+		err = net.ErrClosed
+	}
+	return err
 }
 
 // awaitResponse waits for a started request's response. An error-coded
@@ -1283,13 +1350,7 @@ func (c *Client) awaitResponse(ctx context.Context, p pendingResp) (WireResponse
 	select {
 	case resp, ok := <-p.ch:
 		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			if err == nil {
-				err = net.ErrClosed
-			}
-			return zero, err
+			return zero, c.connErr()
 		}
 		if resp.Error != "" {
 			return zero, errorForCode(resp.Code, resp.Error)
@@ -1321,7 +1382,7 @@ func (c *Client) abandonWaiter(id uint64, ch chan WireResponse) {
 }
 
 // sendBin encodes one request as a binwire frame (into an arena buffer
-// — zero steady-state allocation) and writes it under the send mutex.
+// — zero steady-state allocation) and queues it on the writer.
 func (c *Client) sendBin(req WireRequest) error {
 	var frame []byte
 	switch req.Type {
@@ -1386,42 +1447,25 @@ func (c *Client) sendBin(req WireRequest) error {
 	default:
 		return fmt.Errorf("%w: unknown message type %q", ErrBadRequest, req.Type)
 	}
-	c.wmu.Lock()
-	_, err := c.w.Write(frame)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
-	arena.PutBytes(frame)
-	return err
+	return c.w.send(frame, nil, true)
 }
 
-// sendLine encodes one request as a JSON line and writes it under the
-// send mutex. The common shapes encode with strconv into an arena
-// buffer (zero steady-state allocation); the rest go through
+// sendLine encodes one request as a JSON line in an arena buffer and
+// queues it on the writer. The common shapes take the one-pass
+// appender (zero steady-state allocation); the rest go through
 // json.Marshal.
 func (c *Client) sendLine(req WireRequest) error {
 	buf := arena.GetBytes(fastReqSize(req) + 1)[:0]
 	line, ok := appendWireRequest(buf, req)
 	if !ok {
 		arena.PutBytes(buf)
-		buf = nil
-		var err error
-		if line, err = json.Marshal(req); err != nil {
+		js, err := json.Marshal(req)
+		if err != nil {
 			return err
 		}
+		line = append(arena.GetBytes(len(js) + 1)[:0], js...)
 	}
-	line = append(line, '\n')
-	c.wmu.Lock()
-	_, err := c.w.Write(line)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
-	if buf != nil {
-		arena.PutBytes(line)
-	}
-	return err
+	return c.w.send(append(line, '\n'), nil, true)
 }
 
 // dispatch hands one decoded response to its waiter (shared by both
@@ -1523,7 +1567,7 @@ func (c *Client) readFrames() error {
 }
 
 // readLoop dispatches responses by ID until the connection dies, then
-// fails every outstanding waiter.
+// closes it, fails every outstanding waiter and stops the writer.
 func (c *Client) readLoop() {
 	var err error
 	if c.bin {
@@ -1531,6 +1575,8 @@ func (c *Client) readLoop() {
 	} else {
 		err = c.readLines()
 	}
+	c.conn.Close()
+	defer c.w.finish()
 	c.mu.Lock()
 	c.closed = true
 	if c.readErr == nil {

@@ -212,7 +212,8 @@ func wireFromBin(q binwire.Request) WireRequest {
 // binConn is the binary codec for one server connection.
 type binConn struct {
 	*connWriter
-	r *bufio.Reader
+	ns *NetServer
+	r  *bufio.Reader
 }
 
 // Binary results are 8 bytes per element plus a fixed header — exact,

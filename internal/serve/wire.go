@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,7 +30,7 @@ type Int64Vec []int64
 
 // MarshalJSON implements json.Marshaler.
 func (v Int64Vec) MarshalJSON() ([]byte, error) {
-	return appendInt64s(make([]byte, 0, 2+21*len(v)), v), nil
+	return appendInt64s(make([]byte, 0, int64sLen(v)+maxIntLen), v), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Every non-empty decoded
@@ -59,18 +62,210 @@ func (v *Int64Vec) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// maxIntLen is the longest decimal int64: MinInt64's sign and 19 digits.
+const maxIntLen = 20
+
+// pow10 holds 10^0 through 10^19, every power of ten a uint64 holds.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// digitPairs is "00" through "99": the encoder writes two digits per
+// lookup.
+var digitPairs = func() (t [200]byte) {
+	for i := range 100 {
+		t[2*i], t[2*i+1] = byte('0'+i/10), byte('0'+i%10)
+	}
+	return t
+}()
+
+// decimalLen returns how many decimal digits u has (1 for 0).
+// bits.Len64 times log10(2) (1233/4096) is the count or one short.
+func decimalLen(u uint64) int {
+	u |= 1
+	t := bits.Len64(u) * 1233 >> 12
+	if u < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+// intLen is the length of x in decimal, its sign included.
+func intLen(x int64) int {
+	m := uint64(x >> 63)
+	return decimalLen((uint64(x)^m)-m) + int(m&1)
+}
+
+// int64sLen is the exact length appendInt64s writes for v.
+func int64sLen(v []int64) int {
+	n := 1 + len(v) // '[', then one ',' or ']' per element
+	for _, x := range v {
+		n += intLen(x)
+	}
+	return max(n, 2)
+}
+
+// putInt writes x in decimal at buf[n:], which must have maxIntLen bytes
+// of room, and returns the index past it. The sign costs no branch: '-'
+// is always written, and a non-negative x's first digit overwrites it.
+// Digits are written right to left, eight at a time while more than
+// eight are left, then two at a time in 32-bit arithmetic.
+func putInt(buf []byte, n int, x int64) int {
+	m := uint64(x >> 63) // all ones when x < 0
+	u := (uint64(x) ^ m) - m
+	buf[n] = '-'
+	n += int(m & 1)
+	end := n + decimalLen(u)
+	i := end
+	for u >= 1e8 {
+		q := u / 1e8
+		r := uint32(u - 1e8*q)
+		hi, lo := r/1e4, r%1e4
+		putPair(buf[i-8:], hi/100)
+		putPair(buf[i-6:], hi%100)
+		putPair(buf[i-4:], lo/100)
+		putPair(buf[i-2:], lo%100)
+		i -= 8
+		u = q
+	}
+	v := uint32(u)
+	for v >= 100 {
+		q := v / 100
+		i -= 2
+		putPair(buf[i:], v-100*q)
+		v = q
+	}
+	if v >= 10 {
+		putPair(buf[i-2:], v)
+	} else {
+		buf[i-1] = byte('0' + v)
+	}
+	return end
+}
+
+// putPair writes the two digits of v (below 100) at b[0:2].
+func putPair(b []byte, v uint32) {
+	b[0], b[1] = digitPairs[2*v], digitPairs[2*v+1]
+}
+
 // appendInt64s appends v as a compact JSON array. It is the one int64
 // vector encoder: Int64Vec.MarshalJSON, appendWireResponse and
-// appendWireRequest all emit their vectors through it.
+// appendWireRequest all emit their vectors through it. The digits go
+// straight into dst's spare capacity; dst grows only when less than one
+// element's worst case is left, so a buffer sized int64sLen(v)+maxIntLen
+// never grows.
 func appendInt64s(dst []byte, v []int64) []byte {
-	dst = append(dst, '[')
-	for i, x := range v {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, x, 10)
+	if len(v) == 0 {
+		return append(dst, "[]"...)
 	}
-	return append(dst, ']')
+	dst = append(dst, '[')
+	n, buf := len(dst), dst[:cap(dst)]
+	for _, x := range v {
+		if len(buf)-n <= maxIntLen {
+			buf = slices.Grow(buf[:n], maxIntLen+1)
+			buf = buf[:cap(buf)]
+		}
+		n = putInt(buf, n, x)
+		buf[n] = ','
+		n++
+	}
+	buf[n-1] = ']'
+	return buf[:n]
+}
+
+// Word-at-a-time digit parsing: eight bytes of the line are loaded as
+// one little-endian word, a SWAR mask finds how many of them open with
+// digits, and a multiply tree turns up to eight digits into their value
+// (Lemire, "Faster integer parsing").
+
+// load8 returns b[i:i+8] as a little-endian word, zero-padded past the
+// end of b (a zero byte is no digit).
+func load8(b []byte, i int) uint64 {
+	if i+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[i:])
+	}
+	var w uint64
+	for k := len(b) - 1; k >= i; k-- {
+		w = w<<8 | uint64(b[k])
+	}
+	return w
+}
+
+// digitRun returns how many ASCII digits open w (0..8). A byte is a
+// digit when its top bit is clear, adding 0x46 keeps it under 0x80 (it
+// is at most '9') and adding 0x50 lifts it to 0x80 (it is at least
+// '0'); with the top bits masked off first, no sum carries into the next
+// byte.
+func digitRun(w uint64) int {
+	const low7, top = 0x7F7F7F7F7F7F7F7F, 0x8080808080808080
+	l := w & low7
+	nondigit := (w | (l + 0x4646464646464646) | ^(l + 0x5050505050505050)) & top
+	return bits.TrailingZeros64(nondigit) >> 3
+}
+
+// digitsValue is the value of the k (0..8) digits that open w. Shifting
+// them to the top of the word drops the bytes after them and makes the
+// bytes before them leading zeros; three multiplies then combine digits
+// into pairs, pairs into quads and quads into the value.
+func digitsValue(w uint64, k int) uint64 {
+	w = (w << (64 - 8*uint(k))) & 0x0F0F0F0F0F0F0F0F
+	w = w * (10<<8 + 1) >> 8
+	w = (w & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	return (w & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
+}
+
+// parseUint parses the unsigned RFC 8259 integer ("0" or [1-9][0-9]*)
+// at b[i:] that fits uint64, returning it and the index past it. Up to
+// 19 digits take one word per eight digits and no overflow check: 19
+// digits cannot overflow a uint64. Longer numbers take parseUintChecked.
+func parseUint(b []byte, i int) (uint64, int, bool) {
+	w := load8(b, i)
+	k := digitRun(w)
+	if k == 0 || (k > 1 && byte(w) == '0') {
+		return 0, i, false
+	}
+	if k < 8 {
+		return digitsValue(w, k), i + k, true
+	}
+	n := digitsValue(w, 8)
+	w = load8(b, i+8)
+	if k = digitRun(w); k < 8 {
+		return n*pow10[k] + digitsValue(w, k), i + 8 + k, true
+	}
+	n = n*1e8 + digitsValue(w, 8)
+	w = load8(b, i+16)
+	if k = digitRun(w); k <= 3 {
+		return n*pow10[k] + digitsValue(w, k), i + 16 + k, true
+	}
+	return parseUintChecked(b, i)
+}
+
+// parseUintChecked is parseUint one digit at a time, checking for
+// overflow at each: the path for numbers of 20 digits or more.
+func parseUintChecked(b []byte, i int) (uint64, int, bool) {
+	var n uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		d := uint64(b[i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, i, false
+		}
+		n = n*10 + d
+	}
+	return n, i, true
+}
+
+// parseInt parses the signed RFC 8259 integer at b[i:] that fits int64.
+// The sign is a 0/1 word: it skips the '-', widens the range by one and
+// negates by xor-and-add, with no branch on it.
+func parseInt(b []byte, i int) (int64, int, bool) {
+	var neg uint64
+	if i < len(b) && b[i] == '-' {
+		neg = 1
+	}
+	n, j, ok := parseUint(b, i+int(neg))
+	if !ok || n > math.MaxInt64+neg {
+		return 0, i, false
+	}
+	return int64((n ^ -neg) + neg), j, true
 }
 
 // parseInt64Array parses the compact JSON integer array at the head of
@@ -88,27 +283,53 @@ func parseInt64Array(b []byte) ([]int64, int, bool) {
 	if b[1] == ']' {
 		return []int64{}, 2, true
 	}
-	// The k-th append follows at least 2k bytes ("[d,d,...,d"), so
-	// len/2 bounds the element count: the appends never outgrow the
-	// arena buffer's length-n backing, even on a truncated array.
-	out := arena.GetInt64s(len(b) / 2)[:0]
-	s := wireScanner{b: b, i: 1}
-	for {
-		x, ok := s.int()
-		if !ok {
-			break
+	// The array ends at the first ']', and every element after the first
+	// follows a comma before it, so the commas bound the element count,
+	// on a truncated array too.
+	end := bytes.IndexByte(b, ']')
+	if end < 0 {
+		return nil, 0, false
+	}
+	out := arena.GetInt64s(bytes.Count(b[:end], comma) + 1)[:0]
+	for i := 1; ; {
+		// The common case inline: the number and the byte after it lie in
+		// one word (at most 7 characters, sign included). Anything else
+		// takes parseInt.
+		w := load8(b, i)
+		var neg uint64
+		if byte(w) == '-' {
+			neg = 1
+		}
+		w >>= 8 * neg
+		var x int64
+		var j int
+		var next byte
+		if k := digitRun(w); k > 0 && k < 8-int(neg) && (k == 1 || byte(w) != '0') {
+			u := digitsValue(w, k)
+			x = int64((u ^ -neg) + neg)
+			j = i + int(neg) + k
+			next = byte(w >> (8 * k)) // 0 past the end of b
+		} else {
+			var ok bool
+			if x, j, ok = parseInt(b, i); !ok || j >= len(b) {
+				break
+			}
+			next = b[j]
 		}
 		out = append(out, x)
-		if s.next(']') {
-			return out, s.i, true
+		if next == ']' {
+			return out, j + 1, true
 		}
-		if !s.next(',') {
+		if next != ',' {
 			break
 		}
+		i = j + 1
 	}
 	arena.PutInt64s(out)
 	return nil, 0, false
 }
+
+var comma = []byte{','}
 
 // wireScanner walks one compact JSON line left to right, the one pass
 // behind decodeWireRequest, decodeWireResponse and parseInt64Array.
@@ -130,38 +351,16 @@ func (s *wireScanner) next(c byte) bool {
 	return false
 }
 
-// uint parses an unsigned RFC 8259 integer ("0" or [1-9][0-9]*) that
-// fits uint64.
-func (s *wireScanner) uint() (uint64, bool) {
-	start := s.i
-	var n uint64
-	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
-		d := uint64(s.b[s.i] - '0')
-		if n > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-		s.i++
-	}
-	if s.i == start || (s.b[start] == '0' && s.i-start > 1) {
-		return 0, false
-	}
-	return n, true
+// uint parses an unsigned RFC 8259 integer that fits uint64.
+func (s *wireScanner) uint() (n uint64, ok bool) {
+	n, s.i, ok = parseUint(s.b, s.i)
+	return n, ok
 }
 
 // int parses a signed RFC 8259 integer that fits int64.
-func (s *wireScanner) int() (int64, bool) {
-	neg := s.next('-')
-	n, ok := s.uint()
-	switch {
-	case !ok:
-		return 0, false
-	case neg && n <= uint64(math.MaxInt64)+1:
-		return -int64(n), true
-	case !neg && n <= uint64(math.MaxInt64):
-		return int64(n), true
-	}
-	return 0, false
+func (s *wireScanner) int() (n int64, ok bool) {
+	n, s.i, ok = parseInt(s.b, s.i)
+	return n, ok
 }
 
 // str returns the bytes of a string whose every byte is printable
@@ -406,10 +605,11 @@ func plainJSON(s string) bool {
 
 // fastReqSize bounds appendWireRequest's output for arena sizing: the
 // envelope with every supported field at its longest, the strings, and
-// 21 bytes per element.
+// the data's exact length plus the slack that keeps appendInt64s from
+// growing the buffer.
 func fastReqSize(req WireRequest) int {
 	return 192 + len(req.Type) + len(req.Op) + len(req.Kind) + len(req.Dir) +
-		len(req.Tenant) + 21*len(req.Data)
+		len(req.Tenant) + int64sLen(req.Data) + maxIntLen
 }
 
 // The wire format of cmd/scansd is newline-delimited JSON: one
@@ -743,10 +943,11 @@ func appendWireResponse(dst []byte, resp WireResponse) ([]byte, bool) {
 }
 
 // fastRespSize bounds appendWireResponse's output for arena sizing: the
-// per-element worst cases of maxRespBytes / maxRespBytesFloat plus the
-// total field's 21 characters.
+// envelope, the result's exact length plus appendInt64s's slack, the
+// per-element worst case of maxRespBytesFloat, and the total field's 21
+// characters.
 func fastRespSize(resp WireResponse) int {
-	return 69 + 21*len(resp.Result) + 25*len(resp.FResult)
+	return 69 + int64sLen(resp.Result) + maxIntLen + 25*len(resp.FResult)
 }
 
 // extractID best-effort recovers the "id" field from a request line

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -337,4 +339,48 @@ func checkWireParity[T any](t *testing.T, what string, line []byte,
 			t.Fatalf("%s %+v:\nfast: %s\njson: %s", what, ref, enc, want)
 		}
 	}
+}
+
+// FuzzAppendInt64sMatchesStrconv is the encoder's oracle: for any
+// vector (the fuzz bytes read as little-endian int64 words) appendInt64s
+// writes exactly what a strconv.AppendInt loop writes, int64sLen
+// predicts its length, and a buffer sized int64sLen+maxIntLen is
+// written in place, never grown.
+func FuzzAppendInt64sMatchesStrconv(f *testing.F) {
+	word := func(v ...int64) []byte {
+		var b []byte
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(word(0))
+	f.Add(word(digitCoverage()...))
+	f.Add(word(-1, 9, 10, -99, 100, math.MaxInt64, math.MinInt64, math.MinInt64+1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v := make([]int64, len(b)/8)
+		for i := range v {
+			v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		want := []byte{'['}
+		for i, x := range v {
+			if i > 0 {
+				want = append(want, ',')
+			}
+			want = strconv.AppendInt(want, x, 10)
+		}
+		want = append(want, ']')
+		if got := appendInt64s(nil, v); string(got) != string(want) {
+			t.Fatalf("appendInt64s(%v):\n got %s\nwant %s", v, got, want)
+		}
+		if n := int64sLen(v); n != len(want) {
+			t.Fatalf("int64sLen(%v) = %d, encoded %d bytes", v, n, len(want))
+		}
+		dst := make([]byte, 1, 1+int64sLen(v)+maxIntLen)
+		got := appendInt64s(dst, v)
+		if &got[0] != &dst[0] || string(got[1:]) != string(want) {
+			t.Fatalf("appendInt64s into a buffer sized by int64sLen grew it or diverged: %s", got[1:])
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func TestConnWriterOneFlushInOrder(t *testing.T) {
 			before := arena.Stats()
 			ns := writerServer(nil)
 			rc := newRecConn(0)
-			w := newConnWriter(ns, rc, bin)
+			w := ns.answerWriter(rc, bin)
 			const n = 8
 			// The hooks run on the writer goroutine, one after another;
 			// finish orders them before the reads below.
@@ -187,7 +188,7 @@ func TestConnWriterDrainsAfterWriteError(t *testing.T) {
 			before := arena.Stats()
 			ns := writerServer(nil)
 			rc := newRecConn(1)
-			w := newConnWriter(ns, rc, bin)
+			w := ns.answerWriter(rc, bin)
 			released := 0 // writer goroutine only; read after finish
 			rel := func() { released++ }
 			for id := uint64(1); id <= 3; id++ {
@@ -242,7 +243,7 @@ func TestConnWriterDrainsAfterChaosKill(t *testing.T) {
 			faults.Arm(tc.point, 1)
 			ns := writerServer(faults)
 			rc := newRecConn(0)
-			w := newConnWriter(ns, rc, tc.bin)
+			w := ns.answerWriter(rc, tc.bin)
 			released := 0
 			rel := func() { released++ }
 			for id := uint64(1); id <= 4; id++ {
@@ -443,11 +444,11 @@ func TestConnWriterBoundsNonReadingClient(t *testing.T) {
 			t.Cleanup(func() { cli.Close() })
 			// handle's steps without the negotiation, keeping the writer
 			// in reach.
-			w := newConnWriter(ns, srv, tc.bin)
+			w := ns.answerWriter(srv, tc.bin)
 			go w.run()
-			var codec connCodec = &jsonConn{connWriter: w, r: bufio.NewReaderSize(srv, 64<<10)}
+			var codec connCodec = &jsonConn{connWriter: w, ns: ns, r: bufio.NewReaderSize(srv, 64<<10)}
 			if tc.bin {
-				codec = &binConn{connWriter: w, r: bufio.NewReaderSize(srv, 64<<10)}
+				codec = &binConn{connWriter: w, ns: ns, r: bufio.NewReaderSize(srv, 64<<10)}
 			}
 			served := make(chan struct{})
 			go func() {
@@ -521,7 +522,7 @@ func TestConnWriterDeadlinePerWrite(t *testing.T) {
 	ns.ncfg.WriteTimeout = 400 * time.Millisecond
 	cli, srv := net.Pipe()
 	defer cli.Close()
-	w := newConnWriter(ns, srv, false)
+	w := ns.answerWriter(srv, false)
 	const n = 10
 	data := make([]int64, 5000)
 	for i := range data {
@@ -553,5 +554,262 @@ func TestConnWriterDeadlinePerWrite(t *testing.T) {
 	}
 	if f, fl := ns.wireFrames.Load(), ns.wireFlushes.Load(); f != n || fl != 1 {
 		t.Fatalf("WireFrames=%d WireFlushes=%d, want %d and 1", f, fl, n)
+	}
+}
+
+// blockConn is a recConn whose reads block until it is closed, like a
+// socket whose peer never answers.
+type blockConn struct {
+	*recConn
+	shut chan struct{}
+	once sync.Once
+}
+
+func newBlockConn(failAt int) *blockConn {
+	return &blockConn{recConn: newRecConn(failAt), shut: make(chan struct{})}
+}
+
+func (c *blockConn) Read([]byte) (int, error) {
+	<-c.shut
+	return 0, net.ErrClosed
+}
+
+func (c *blockConn) Close() error {
+	c.once.Do(func() { close(c.shut) })
+	return c.recConn.Close()
+}
+
+// requestIDs parses the requests a client's writer sent and returns
+// their ids, checking each carries the payload {id, -id}.
+func requestIDs(t *testing.T, bin bool, b []byte) []uint64 {
+	t.Helper()
+	var ids []uint64
+	r := bufio.NewReader(bytes.NewReader(b))
+	for {
+		var id uint64
+		var data []int64
+		if bin {
+			payload, err := binwire.ReadFrame(r, 1<<20)
+			if errors.Is(err, io.EOF) {
+				return ids
+			}
+			if err != nil {
+				t.Fatalf("read frame: %v", err)
+			}
+			q, err := binwire.ParseRequest(payload)
+			arena.PutBytes(payload)
+			if err != nil {
+				t.Fatalf("parse frame: %v", err)
+			}
+			id, data = q.ID, q.Data
+		} else {
+			line, err := r.ReadBytes('\n')
+			if errors.Is(err, io.EOF) && len(line) == 0 {
+				return ids
+			}
+			if err != nil {
+				t.Fatalf("read line: %v", err)
+			}
+			req, err := unmarshalWireRequest(line[:len(line)-1])
+			if err != nil {
+				t.Fatalf("parse line %q: %v", line, err)
+			}
+			id, data = req.ID, req.Data
+		}
+		if want := []int64{int64(id), -int64(id)}; !reflect.DeepEqual(data, want) {
+			t.Fatalf("request %d carried %v, want %v", id, data, want)
+		}
+		releaseData(data)
+		ids = append(ids, id)
+	}
+}
+
+// clientScan is the request the client writer tests send.
+func clientScan(i int) WireRequest {
+	return WireRequest{Op: "sum", Data: []int64{int64(i), -int64(i)}}
+}
+
+// TestClientWriterOneFlushInOrder: requests a client's callers queue
+// before its writer drains leave in order, in one flush.
+func TestClientWriterOneFlushInOrder(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		t.Run(codecName(bin), func(t *testing.T) {
+			before := arena.Stats()
+			rc := newRecConn(0)
+			c := newClient(rc, DefaultMaxLineBytes)
+			c.bin = bin
+			const n = 8
+			for i := 1; i <= n; i++ {
+				if _, err := c.startRequest(context.Background(), clientScan(i)); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+			go c.w.run()
+			c.w.finish()
+
+			if rc.writes != 1 {
+				t.Fatalf("%d socket writes for %d queued requests, want 1", rc.writes, n)
+			}
+			got := requestIDs(t, bin, rc.buf.Bytes())
+			if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("request ids = %v, want %v", got, want)
+			}
+			if f, fl := c.frames.Load(), c.flushes.Load(); f != n || fl != 1 {
+				t.Fatalf("client frames=%d flushes=%d, want %d and 1", f, fl, n)
+			}
+			after := arena.Stats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("arena ledger does not close: %d gets != %d puts", gets, puts)
+			}
+		})
+	}
+}
+
+// TestClientWriterErrorFailsRoundTrips: a write error closes the
+// connection, which fails every round trip, those already on the wire
+// and those still queued, as a connection failure; later requests fail
+// at once, the writer goroutine exits and the arena ledger closes.
+func TestClientWriterErrorFailsRoundTrips(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		t.Run(codecName(bin), func(t *testing.T) {
+			before := arena.Stats()
+			bc := newBlockConn(2) // the first flush succeeds, every later write fails
+			c := newClient(bc, DefaultMaxLineBytes)
+			c.bin = bin
+			ctx := context.Background()
+			var pending []pendingResp
+			// Once the failing write has closed the connection, a request
+			// fails at once; until then it is queued.
+			start := func(from, to int, mayFail bool) {
+				for i := from; i <= to; i++ {
+					p, err := c.startRequest(ctx, clientScan(i))
+					switch {
+					case err == nil:
+						pending = append(pending, p)
+					case !mayFail || !errors.Is(err, net.ErrClosed):
+						t.Fatalf("request %d: %v", i, err)
+					}
+				}
+			}
+			start(1, 3, false)
+			go c.w.run()
+			go c.readLoop()
+			for c.flushes.Load() == 0 {
+				runtime.Gosched()
+			}
+			start(4, 6, true) // queued behind the failing write
+			<-bc.failed
+			// Bounded, so a connection the write error left open fails
+			// the test instead of hanging it.
+			wait, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
+			for i, p := range pending {
+				if _, err := c.awaitResponse(wait, p); !errors.Is(err, net.ErrClosed) {
+					t.Fatalf("round trip %d: err %v, want the connection's failure", i+1, err)
+				}
+			}
+			select {
+			case <-c.w.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("client writer still running after its connection died")
+			}
+			if _, err := c.startRequest(ctx, clientScan(7)); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("request on a dead connection: err %v, want the connection's failure", err)
+			}
+			if !bc.closed {
+				t.Fatal("write error left the connection open")
+			}
+			after := arena.Stats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("arena ledger does not close: %d gets != %d puts", gets, puts)
+			}
+		})
+	}
+}
+
+// TestClientWriterBoundsNonReadingServer: against a server that never
+// reads, a client's writer holds its first flush and the callers behind
+// it wait once maxQueued requests are queued; Close then fails them
+// with the connection's error.
+func TestClientWriterBoundsNonReadingServer(t *testing.T) {
+	before := arena.Stats()
+	cli, srv := net.Pipe() // unbuffered: the writer blocks on its first flush
+	defer srv.Close()
+	c := newClient(cli, DefaultMaxLineBytes)
+	go c.w.run()
+	go c.readLoop()
+
+	// One caller sends more than the writer's batch (at most maxQueued)
+	// and the queue (maxQueued) can hold, so it must wait.
+	const total = 2*maxQueued + 1
+	var pending []pendingResp
+	var sendErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for len(pending) < total {
+			p, err := c.startRequest(context.Background(), clientScan(len(pending)+1))
+			if err != nil {
+				sendErr = err
+				return
+			}
+			pending = append(pending, p)
+		}
+	}()
+	queued := func() int {
+		c.w.mu.Lock()
+		defer c.w.mu.Unlock()
+		return len(c.w.q)
+	}
+	for q := 0; q < maxQueued; q = queued() {
+		select {
+		case <-done:
+			t.Fatalf("all %d requests left their caller against a server that never reads", total)
+		default:
+		}
+		runtime.Gosched()
+	}
+	for range 1000 {
+		if q := queued(); q > maxQueued {
+			t.Fatalf("%d requests queued for a server that never reads, want <= %d", q, maxQueued)
+		}
+		runtime.Gosched()
+	}
+	select {
+	case <-done:
+		t.Fatalf("the caller finished all %d sends against a server that never reads", total)
+	default:
+	}
+
+	// Close unblocks the caller; every request it sent, and the one it
+	// waited to send unless the dead writer took that too, fails as a
+	// connection failure.
+	c.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close left a caller waiting for room")
+	}
+	// A pipe reports its close as io.ErrClosedPipe, not net.ErrClosed.
+	connErr := c.connErr()
+	if sendErr != nil && sendErr != connErr {
+		t.Fatalf("send after Close: %v, want the connection's failure %v", sendErr, connErr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, p := range pending {
+		if _, err := c.awaitResponse(ctx, p); err != connErr {
+			t.Fatalf("round trip %d after Close: err %v, want the connection's failure %v", i+1, err, connErr)
+		}
+	}
+	t.Logf("caller sent %d requests before Close, send error %v", len(pending), sendErr)
+	select {
+	case <-c.w.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("client writer still running after Close")
+	}
+	after := arena.Stats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+		t.Fatalf("arena ledger does not close: %d gets != %d puts", gets, puts)
 	}
 }

@@ -2,6 +2,10 @@ package serve
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +223,36 @@ func TestAllocsJSONEdgeCodec(t *testing.T) {
 			return ok && len(got.Result) == len(data)
 		}},
 	}
+	// The coverage lines: every digit length at every alignment against
+	// the parser's 8-byte loads (see digitCoverage), as a request and as
+	// a result. Each must take the one-pass path and round-trip.
+	cover := digitCoverage()
+	for shift := range 8 {
+		id := pow10[shift] // one more id digit moves every number one byte
+		req := WireRequest{ID: id, Op: "mul", Data: cover}
+		line, _ := appendWireRequest(nil, req)
+		got, ok := decodeWireRequest(line)
+		if !ok || !reflect.DeepEqual(got, req) {
+			t.Fatalf("request line %s: one-pass decode ok=%v, got %v", line, ok, got.Data)
+		}
+		releaseData(got.Data)
+		resp := WireResponse{ID: id, Result: cover}
+		line, _ = appendWireResponse(nil, resp)
+		back, ok := decodeWireResponse(line)
+		if !ok || !reflect.DeepEqual(back, resp) {
+			t.Fatalf("result line %s: one-pass decode ok=%v, got %v", line, ok, back.Result)
+		}
+		releaseData(back.Result)
+	}
+	coverLine, _ := appendWireResponse(nil, WireResponse{ID: 1, Result: cover})
+	cases = append(cases, struct {
+		name string
+		run  func() bool
+	}{"decode-coverage", func() bool {
+		got, ok := decodeWireResponse(coverLine)
+		releaseData(got.Result)
+		return ok && len(got.Result) == len(cover)
+	}})
 	for _, tc := range cases {
 		for i := 0; i < 100; i++ {
 			if !tc.run() {
@@ -228,5 +262,107 @@ func TestAllocsJSONEdgeCodec(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, func() { tc.run() }); avg != 0 {
 			t.Errorf("%s allocates %.1f objects/call, want 0 — the JSON edge codec has grown a per-request allocation", tc.name, avg)
 		}
+	}
+}
+
+// digitCoverage is a vector with every decimal length of both signs,
+// 1 to 19 digits (the shortest, the longest and a mixed number of each
+// length), plus 0, MinInt64 and MaxInt64. Its numbers start at every
+// offset mod 8 within it, and in a line with an id one digit longer
+// each moves one byte, so across eight ids every length meets every
+// alignment against an 8-byte load, the last number ending in the
+// line's last 8 bytes.
+func digitCoverage() []int64 {
+	v := []int64{0, math.MinInt64, math.MaxInt64}
+	for d := 1; d <= 19; d++ {
+		lo := int64(pow10[d-1])
+		hi := int64(min(pow10[d]-1, math.MaxInt64))
+		mid := lo + (hi-lo)/3
+		v = append(v, lo, -lo, hi, -hi, mid, -mid)
+	}
+	return v
+}
+
+// edgeCodecMix is a fixed edge-small-like request mix: 64 vectors of
+// 16 to 1024 values (log-uniform) in ±1000.
+func edgeCodecMix() [][]int64 {
+	rng := rand.New(rand.NewSource(22))
+	mix := make([][]int64, 64)
+	for i := range mix {
+		n := int(16 * math.Pow(64, rng.Float64()))
+		mix[i] = make([]int64, n)
+		for j := range mix[i] {
+			mix[i][j] = rng.Int63n(2001) - 1000
+		}
+	}
+	return mix
+}
+
+// BenchmarkJSONEdgeCodec times the four JSON edge codec calls per
+// element on an edge-small-like mix: encoding and decoding the
+// requests, and encoding and decoding the inclusive scan results of
+// each builtin op (sum results grow digits, mul results wrap to
+// 19-digit words).
+func BenchmarkJSONEdgeCodec(b *testing.B) {
+	mix := edgeCodecMix()
+	elems := 0
+	for _, v := range mix {
+		elems += len(v)
+	}
+	bench := func(name string, lines [][]byte, msgs []WireResponse, reqs []WireRequest) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for k := range mix {
+					switch {
+					case reqs != nil && lines == nil:
+						buf := arena.GetBytes(fastReqSize(reqs[k]))[:0]
+						out, _ := appendWireRequest(buf, reqs[k])
+						arena.PutBytes(out)
+					case reqs != nil:
+						got, _ := decodeWireRequest(lines[k])
+						releaseData(got.Data)
+					case lines == nil:
+						buf := arena.GetBytes(fastRespSize(msgs[k]))[:0]
+						out, _ := appendWireResponse(buf, msgs[k])
+						arena.PutBytes(out)
+					default:
+						got, _ := decodeWireResponse(lines[k])
+						releaseData(got.Result)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+		})
+	}
+	reqs := make([]WireRequest, len(mix))
+	reqLines := make([][]byte, len(mix))
+	for k, v := range mix {
+		reqs[k] = WireRequest{ID: uint64(k + 1), Op: "sum", Kind: "inclusive", Data: v}
+		reqLines[k], _ = appendWireRequest(nil, reqs[k])
+	}
+	bench("encode-request", nil, nil, reqs)
+	bench("decode-request", reqLines, nil, reqs)
+	ops := []struct {
+		name string
+		f    func(a, b int64) int64
+	}{
+		{"sum", func(a, b int64) int64 { return a + b }},
+		{"max", func(a, b int64) int64 { return max(a, b) }},
+		{"min", func(a, b int64) int64 { return min(a, b) }},
+		{"mul", func(a, b int64) int64 { return a * b }},
+	}
+	for _, op := range ops {
+		resps := make([]WireResponse, len(mix))
+		respLines := make([][]byte, len(mix))
+		for k, v := range mix {
+			res := slices.Clone(v)
+			for j := 1; j < len(res); j++ {
+				res[j] = op.f(res[j-1], res[j])
+			}
+			resps[k] = WireResponse{ID: uint64(k + 1), Result: res}
+			respLines[k], _ = appendWireResponse(nil, resps[k])
+		}
+		bench("encode-result/"+op.name, nil, resps, nil)
+		bench("decode-result/"+op.name, respLines, resps, nil)
 	}
 }

@@ -34,16 +34,20 @@ echo "== chaos soak (short, -race)"
 go test -race -short -count=1 -run '^TestChaosSoak$' ./internal/serve/
 
 echo "== connection writer gate (-race -count=20)"
-# One writer per connection drains its whole answer queue per flush, and
-# executors answer one-shot scans through a completion hook. Twenty
-# repeats under the race detector: queued answers leave in order in one
-# flush with each release hook first, a dead or chaos-killed connection
-# still recycles every buffer, a client that never reads stalls the read
-# loop at a bounded queue, each answer's writes get their own write
-# deadline, an executor never waits on a socket, a wire deadline is
-# dropped at pick time, and the in-flight caps and the client deadline
-# hold.
-go test -race -count=20 -run '^(TestConnWriterOneFlushInOrder|TestConnWriterDrainsAfterWriteError|TestConnWriterDrainsAfterChaosKill|TestConnWriterBoundsNonReadingClient|TestConnWriterDeadlinePerWrite|TestNetExecutorNeverBlocksOnSocket|TestNetWireDeadlineDrop|TestNetPerConnInflightCap|TestNetPerConnInflightCapNonReadingClient|TestNetClientCtxDeadline)$' ./internal/serve/
+# One writer per connection, at both ends, drains its whole queue per
+# flush, and executors answer one-shot scans through a completion hook.
+# Twenty repeats under the race detector: queued answers leave in order
+# in one flush with each release hook first, a dead or chaos-killed
+# connection still recycles every buffer, a client that never reads
+# stalls the read loop at a bounded queue, each answer's writes get
+# their own write deadline, an executor never waits on a socket, a wire
+# deadline is dropped at pick time, and the in-flight caps and the
+# client deadline hold. On the client side: queued requests leave in
+# order in one flush, a write error fails every queued and in-flight
+# round trip and stops the writer with the arena ledger closed, and
+# callers facing a server that never reads wait at maxQueued until
+# Close fails them.
+go test -race -count=20 -run '^(TestConnWriterOneFlushInOrder|TestConnWriterDrainsAfterWriteError|TestConnWriterDrainsAfterChaosKill|TestConnWriterBoundsNonReadingClient|TestConnWriterDeadlinePerWrite|TestNetExecutorNeverBlocksOnSocket|TestNetWireDeadlineDrop|TestNetPerConnInflightCap|TestNetPerConnInflightCapNonReadingClient|TestNetClientCtxDeadline|TestClientWriterOneFlushInOrder|TestClientWriterErrorFailsRoundTrips|TestClientWriterBoundsNonReadingServer)$' ./internal/serve/
 
 echo "== cluster chaos soak (short, -race)"
 # Fails on any lost/corrupted scan or a coordinator ledger imbalance
@@ -72,7 +76,9 @@ go test -count=1 -run '^TestAllocsSteadyStateScan$' ./internal/serve/
 go test -count=1 -run '^TestSteadyStateAllocFree$' ./internal/arena/
 # The JSON edge codec: decoding a scan request or result line allocates
 # nothing beyond the arena checkout for its vector, and encoding a
-# request allocates nothing.
+# request allocates nothing. Its coverage vector (every digit length of
+# both signs at every 8-byte alignment) must decode on the one-pass path
+# and round-trip: a silent fallback to encoding/json fails it.
 go test -count=1 -run '^TestAllocsJSONEdgeCodec$' ./internal/serve/
 
 echo "== user-op VM alloc gate (no -race)"
@@ -114,6 +120,12 @@ echo "== fuzz burst: FuzzWireJSONMatchesStdlib (10s)"
 # accept/reject verdict, error text and decoded struct on any line, and
 # appenders byte-identical to json.Marshal whenever they claim a value.
 go test -fuzz='^FuzzWireJSONMatchesStdlib$' -fuzztime=10s -run '^$' ./internal/serve/
+
+echo "== fuzz burst: FuzzAppendInt64sMatchesStrconv (10s)"
+# The word-at-a-time int encoder must write exactly what a
+# strconv.AppendInt loop writes, predict its length exactly, and never
+# grow a buffer sized by that prediction.
+go test -fuzz='^FuzzAppendInt64sMatchesStrconv$' -fuzztime=10s -run '^$' ./internal/serve/
 
 echo "== fuzz burst: FuzzShardedScanMatchesSingleNode (10s)"
 go test -fuzz='^FuzzShardedScanMatchesSingleNode$' -fuzztime=10s -run '^$' ./internal/cluster/
