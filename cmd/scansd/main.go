@@ -107,7 +107,6 @@ func main() {
 		ejectAfter  = flag.Int("eject-after", 3, "coordinator: eject a worker after this many consecutive connection failures")
 		probeEvery  = flag.Duration("probe-interval", time.Second, "coordinator: probe ejected workers this often")
 		workerProto = flag.String("worker-proto", serve.ProtoBin, "coordinator: wire protocol to workers (bin or json)")
-		dataPlane   = flag.String("data-plane", cluster.DataPlaneStar, "coordinator: carry data plane (star = coordinator pre-seeds pieces, exchange = workers exchange block sums among themselves; exchange falls back to star per scan on any peer failure)")
 		beatTTL     = flag.Duration("heartbeat-ttl", 2*time.Second, "coordinator: eject announced workers silent this long")
 		weightFloor = flag.Float64("weight-floor", 0.1, "coordinator: adaptive weight floor as a fraction of a worker's base weight (0..1]")
 		replListen  = flag.String("repl-listen", "", "coordinator: publish the stream-session replication feed on this address (for standbys)")
@@ -129,7 +128,6 @@ func main() {
 		opCap     = flag.Int("op-cap", 0, "per-tenant cap on registered user combine ops (0 = default)")
 		chaosSpec = flag.String("chaos", "", "arm fault points: name:prob[:duration],... (see package doc)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
-		xchgRound = flag.Duration("xchg-round-timeout", 2*time.Second, "worker: per-round deadline for the exchange data plane's carry rounds")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)
 	flag.Parse()
@@ -152,15 +150,14 @@ func main() {
 	}
 
 	ncfg := serve.NetConfig{
-		MaxLineBytes:     *maxLine,
-		MaxConns:         *maxConns,
-		PerConnInflight:  *perConn,
-		IdleTimeout:      *idle,
-		WriteTimeout:     *wtimeout,
-		MaxStreams:       *maxStream,
-		StreamIdleTTL:    *streamTTL,
-		XchgRoundTimeout: *xchgRound,
-		Faults:           faults,
+		MaxLineBytes:    *maxLine,
+		MaxConns:        *maxConns,
+		PerConnInflight: *perConn,
+		IdleTimeout:     *idle,
+		WriteTimeout:    *wtimeout,
+		MaxStreams:      *maxStream,
+		StreamIdleTTL:   *streamTTL,
+		Faults:          faults,
 	}
 
 	var (
@@ -184,7 +181,6 @@ func main() {
 			MaxPieceElems: *maxPiece,
 			MaxLineBytes:  *maxLine,
 			Proto:         *workerProto,
-			DataPlane:     *dataPlane,
 			Retry:         serve.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond},
 			HedgeAfter:    *hedgeAfter,
 			EjectAfter:    *ejectAfter,

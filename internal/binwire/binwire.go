@@ -33,18 +33,12 @@
 //	FHeartbeat   u64 id | u64 weight bits | u32 maxLine | u8 wproto |
 //	             u16 addrLen | addr
 //	FStreamResume u64 id | u64 stream | u64 acked | u8 tokLen | token
-//	FScanXchg    u64 id | u8 op | u8 kind | u8 dir | u64 timeout_ms |
-//	             u16 tenantLen | tenant | u64 group | u32 rank | u32 k |
-//	             k × (u16 addrLen | addr) | u8 head | u8 seeded |
-//	             u64 init bits | u32 n | n × 8-byte element
-//	FCarryXchg   u64 id | u64 group | u32 round | u32 from | u32 to |
-//	             u64 value bits | u8 reset
 //	FRegisterOp  u64 id | u16 tenantLen | tenant | u16 nameLen | name |
 //	             u32 srcLen | source
 //
-// When the op byte of FScan / FStreamOpen / FScanXchg is
-// OpUser, the fixed enum bytes are followed immediately by the user-op
-// fields `u16 nameLen | name | u64 hash` (hash 0 = unpinned). They sit
+// When the op byte of FScan / FStreamOpen is OpUser, the fixed enum
+// bytes are followed immediately by the user-op fields
+// `u16 nameLen | name | u64 hash` (hash 0 = unpinned). They sit
 // BEFORE the trailing element array — the array must exactly end the
 // payload — and builtin frames carry no such fields, so every
 // pre-existing frame stays byte-identical.
@@ -112,25 +106,17 @@ const (
 	// connection (or coordinator) death. Answered with FAck carrying the
 	// 1-based index of the next chunk the server expects.
 	FStreamResume = 0x06
-	// FScanXchg is a one-shot scan of one exchange-mode piece: the raw
-	// un-seeded segment plus the piece's rank in the peer ring. The
-	// worker folds the segment, runs the hypercube carry exchange with
-	// its peers (FCarryXchg rounds), applies the received carry, and
-	// answers with the piece's seeded scan — so the result is identical
-	// to the star path's pre-seeded FScan of the same piece.
-	FScanXchg = 0x08
-	// FCarryXchg is one worker→worker message of the carry exchange: the
-	// sender's running (value, reset) pair for round `round`, addressed
-	// to rank `to` of exchange group `group`. Acked with an empty
-	// FResult; the payload lands in the receiver's exchange mailbox.
-	FCarryXchg = 0x09
+	// 0x08 and 0x09 were the retired exchange data plane's piece scan
+	// and worker-to-worker carry message; they are never reused, so a
+	// stale peer's frame fails as an unknown type.
+
 	// FRegisterOp registers a user combine op: tenant, op name, and the
 	// bytecode assembly source. Answered with FOpAck carrying the
 	// registration's content hash, or FError (bad_op on rejection,
 	// bad_request against a server with no registry).
 	FRegisterOp = 0x0A
 	// FResult is a successful int64 result (also the empty ack of a
-	// heartbeat, a carry exchange, or an empty scan).
+	// heartbeat or an empty scan).
 	FResult = 0x81
 	// FFloatResult is a successful float64 result (raw bit payload).
 	FFloatResult = 0x82
@@ -150,7 +136,7 @@ const (
 )
 
 // OpUser is the op-byte value marking a user combine op in
-// FScan/FStreamOpen/FScanXchg. It is the only op byte that
+// FScan/FStreamOpen. It is the only op byte that
 // changes a frame's layout: the user-op fields (name + pinned hash)
 // follow the fixed enum bytes. Decoders surface the name as the
 // "user:<name>" wire string, so an unknown or empty name is rejected
@@ -211,23 +197,6 @@ type Request struct {
 	// high-water mark.
 	Token string
 	Acked uint64
-	// Exchange fields (FScanXchg / FCarryXchg). Group names one carry
-	// exchange; Rank is the receiver's rank in it (FScanXchg: the piece's
-	// own rank; FCarryXchg: the destination rank). Peers lists every
-	// rank's worker address. XHead marks a piece opening with a segment
-	// head, XSeeded tells the worker to apply the exchanged carry, Init
-	// seeds rank 0 (a stream chunk's running carry; the op identity
-	// otherwise). Round/From/XVal/XReset are one FCarryXchg message.
-	Group   uint64
-	Rank    int
-	Peers   []string
-	XHead   bool
-	XSeeded bool
-	Init    int64
-	Round   int
-	From    int
-	XVal    int64
-	XReset  bool
 	// User-op fields. Name/OpHash ride scan and stream-open frames whose
 	// op byte is OpUser (hash 0 = unpinned); Name/Source are the
 	// FRegisterOp body.
@@ -489,88 +458,6 @@ func AppendStreamOpenUser(dst []byte, id, stream uint64, kind, dir byte, name st
 	return dst
 }
 
-// ScanXchgFrameBytes and CarryXchgFrameBytes size the exchange request
-// frames for arena allocation.
-func ScanXchgFrameBytes(tenant string, peers []string, n int) int {
-	sz := 4 + 52 + len(tenant) + 8*n
-	for _, p := range peers {
-		sz += 2 + len(p)
-	}
-	return sz
-}
-func CarryXchgFrameBytes() int { return 4 + 38 }
-
-// AppendScanXchg encodes an exchange-mode piece scan request frame.
-func AppendScanXchg(dst []byte, id uint64, op, kind, dir byte, timeoutMS int64, tenant string,
-	group uint64, rank int, peers []string, head, seeded bool, init int64, data []int64) []byte {
-	if len(tenant) > math.MaxUint16 {
-		tenant = tenant[:math.MaxUint16]
-	}
-	start := len(dst)
-	dst = appendFrameHeader(dst)
-	dst = append(dst, FScanXchg)
-	dst = le.AppendUint64(dst, id)
-	dst = append(dst, op, kind, dir)
-	dst = le.AppendUint64(dst, uint64(timeoutMS))
-	dst = le.AppendUint16(dst, uint16(len(tenant)))
-	dst = append(dst, tenant...)
-	dst = le.AppendUint64(dst, group)
-	dst = le.AppendUint32(dst, uint32(rank))
-	dst = le.AppendUint32(dst, uint32(len(peers)))
-	for _, p := range peers {
-		if len(p) > math.MaxUint16 {
-			p = p[:math.MaxUint16]
-		}
-		dst = le.AppendUint16(dst, uint16(len(p)))
-		dst = append(dst, p...)
-	}
-	dst = append(dst, boolByte(head), boolByte(seeded))
-	dst = le.AppendUint64(dst, uint64(init))
-	dst = le.AppendUint32(dst, uint32(len(data)))
-	for _, v := range data {
-		dst = le.AppendUint64(dst, uint64(v))
-	}
-	patchFrameLen(dst[start:])
-	return dst
-}
-
-// AppendScanXchgUser encodes an exchange-mode piece scan request frame
-// for a user combine op. The user-op fields follow the dir byte, ahead
-// of everything variable-length, mirroring AppendScanUser.
-func AppendScanXchgUser(dst []byte, id uint64, kind, dir byte, name string, hash uint64, timeoutMS int64, tenant string,
-	group uint64, rank int, peers []string, head, seeded bool, init int64, data []int64) []byte {
-	if len(tenant) > math.MaxUint16 {
-		tenant = tenant[:math.MaxUint16]
-	}
-	start := len(dst)
-	dst = appendFrameHeader(dst)
-	dst = append(dst, FScanXchg)
-	dst = le.AppendUint64(dst, id)
-	dst = append(dst, OpUser, kind, dir)
-	dst = appendUserOp(dst, name, hash)
-	dst = le.AppendUint64(dst, uint64(timeoutMS))
-	dst = le.AppendUint16(dst, uint16(len(tenant)))
-	dst = append(dst, tenant...)
-	dst = le.AppendUint64(dst, group)
-	dst = le.AppendUint32(dst, uint32(rank))
-	dst = le.AppendUint32(dst, uint32(len(peers)))
-	for _, p := range peers {
-		if len(p) > math.MaxUint16 {
-			p = p[:math.MaxUint16]
-		}
-		dst = le.AppendUint16(dst, uint16(len(p)))
-		dst = append(dst, p...)
-	}
-	dst = append(dst, boolByte(head), boolByte(seeded))
-	dst = le.AppendUint64(dst, uint64(init))
-	dst = le.AppendUint32(dst, uint32(len(data)))
-	for _, v := range data {
-		dst = le.AppendUint64(dst, uint64(v))
-	}
-	patchFrameLen(dst[start:])
-	return dst
-}
-
 // RegisterOpFrameBytes sizes an FRegisterOp frame.
 func RegisterOpFrameBytes(tenant, name, source string) int {
 	return 4 + 9 + 2 + len(tenant) + 2 + len(name) + 4 + len(source)
@@ -596,29 +483,6 @@ func AppendRegisterOp(dst []byte, id uint64, tenant, name, source string) []byte
 	dst = append(dst, source...)
 	patchFrameLen(dst[start:])
 	return dst
-}
-
-// AppendCarryXchg encodes one carry-exchange message frame.
-func AppendCarryXchg(dst []byte, id, group uint64, round, from, to int, val int64, reset bool) []byte {
-	start := len(dst)
-	dst = appendFrameHeader(dst)
-	dst = append(dst, FCarryXchg)
-	dst = le.AppendUint64(dst, id)
-	dst = le.AppendUint64(dst, group)
-	dst = le.AppendUint32(dst, uint32(round))
-	dst = le.AppendUint32(dst, uint32(from))
-	dst = le.AppendUint32(dst, uint32(to))
-	dst = le.AppendUint64(dst, uint64(val))
-	dst = append(dst, boolByte(reset))
-	patchFrameLen(dst[start:])
-	return dst
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ResultFrameBytes is the exact encoded size of an n-element
@@ -885,45 +749,6 @@ func ParseRequest(payload []byte) (Request, error) {
 	case FStreamClose:
 		req.ID = r.u64()
 		req.Stream = r.u64()
-	case FScanXchg:
-		req.ID = r.u64()
-		req.Op = r.u8()
-		req.Kind = r.u8()
-		req.Dir = r.u8()
-		if req.Op == OpUser {
-			req.Name = r.str(int(r.u16()))
-			req.OpHash = r.u64()
-		}
-		req.TimeoutMS = int64(r.u64())
-		req.Tenant = r.str(int(r.u16()))
-		req.Group = r.u64()
-		req.Rank = int(r.u32())
-		k := int(r.u32())
-		// Each peer entry costs at least 2 bytes, so a sane k is bounded
-		// by the payload; reject the rest before allocating.
-		if r.bad || k < 0 || k > (len(r.b)-r.off)/2 {
-			return Request{}, fmt.Errorf("%w: truncated scan_xchg header", ErrBadFrame)
-		}
-		req.Peers = make([]string, k)
-		for i := 0; i < k; i++ {
-			req.Peers[i] = r.str(int(r.u16()))
-		}
-		req.XHead = r.u8() != 0
-		req.XSeeded = r.u8() != 0
-		req.Init = int64(r.u64())
-		n := int(r.u32())
-		if r.bad {
-			return Request{}, fmt.Errorf("%w: truncated scan_xchg header", ErrBadFrame)
-		}
-		req.Data = r.ints(n)
-	case FCarryXchg:
-		req.ID = r.u64()
-		req.Group = r.u64()
-		req.Round = int(r.u32())
-		req.From = int(r.u32())
-		req.Rank = int(r.u32())
-		req.XVal = int64(r.u64())
-		req.XReset = r.u8() != 0
 	case FRegisterOp:
 		req.ID = r.u64()
 		req.Tenant = r.str(int(r.u16()))

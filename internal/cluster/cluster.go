@@ -1,13 +1,12 @@
 // Package cluster shards giant scans across scansd workers. It is the
 // paper's Figure 10 block-sum decomposition applied across MACHINES:
-// split the vector into per-worker shards, scan each shard remotely,
-// run the small exclusive scan over the shard totals locally, and seed
-// every shard with the prefix of everything to its left. The seeding
-// rides the same phantom-element mechanism the streaming layer uses
-// across time (serve/stream.go, DESIGN.md §5): a seeded piece is sent
-// as [carry, data...] and the carry's output position is dropped, so
-// workers need no protocol extension at all — a coordinator shard is
-// just another wire request.
+// split the vector into per-worker shards, scan each shard's pieces
+// remotely and unseeded, run the small exclusive scan over the pieces'
+// block sums locally — each read off the reply the coordinator copies
+// anyway — and combine every piece's carry into its window of the
+// result. Workers need no protocol extension and hold no state: a
+// coordinator piece is just another wire request, and the whole scan is
+// one round trip per piece.
 //
 // Because int64 +, ×, max, and min are exactly associative (Go defines
 // signed wraparound), the decomposition is BIT-IDENTICAL to a
@@ -37,11 +36,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"scans/internal/arena"
+	"scans/internal/combine"
 	"scans/internal/fault"
 	"scans/internal/serve"
 )
@@ -87,19 +89,10 @@ type Config struct {
 	// 21-bytes-per-element worst case only because ProtoJSON is still
 	// selectable here; it is conservative for binary.
 	Proto string
-	// DataPlane selects how per-piece carry seeds are computed:
-	//
-	//   "star" (the default): the coordinator folds the data itself
-	//   while seeding pieces — O(n) sequential work per scan at the
-	//   coordinator, the classic hub-and-spoke shape.
-	//
-	//   "exchange": the coordinator ships RAW, un-seeded pieces; each
-	//   worker folds its own piece locally and the workers run a
-	//   round-efficient exclusive scan over the block sums among
-	//   themselves (the carry_xchg wire op, ⌈log2 k⌉ rounds). The
-	//   coordinator's per-scan work drops to O(#pieces). Results are
-	//   bit-identical to star; any peer-round failure falls back to a
-	//   star re-run of the same scan automatically.
+	// DataPlane names the carry data plane. There is one, "star" (also
+	// the empty default): pieces go out raw and the coordinator combines
+	// each carry into the replies. The field stays only for callers that
+	// still set it; any other value is refused by New.
 	DataPlane string
 	// OpCap caps how many user combine ops one tenant may hold in the
 	// coordinator's registry (register_op). 0 = internal/combine's
@@ -160,10 +153,12 @@ type Config struct {
 	Faults *fault.Set
 }
 
+// DataPlaneStar is the one value Config.DataPlane accepts besides "".
+const DataPlaneStar = "star"
+
 // withDefaults fills zero fields and clamps MaxPieceElems to the line
 // budget (worst-case response bytes per element mirrors serve's
-// maxRespBytes: 21 bytes per int64 plus envelope, and a seeded piece
-// carries one phantom element).
+// maxRespBytes: 21 bytes per int64 plus envelope).
 func (c Config) withDefaults() Config {
 	if c.MinShardElems <= 0 {
 		c.MinShardElems = 4096
@@ -177,10 +172,7 @@ func (c Config) withDefaults() Config {
 	if c.Proto == "" {
 		c.Proto = serve.ProtoBin
 	}
-	if c.DataPlane == "" {
-		c.DataPlane = DataPlaneStar
-	}
-	if budget := (c.MaxLineBytes-64)/21 - 2; c.MaxPieceElems > budget {
+	if budget := (c.MaxLineBytes - 64) / 21; c.MaxPieceElems > budget {
 		c.MaxPieceElems = budget
 	}
 	if c.EjectAfter <= 0 {
@@ -225,13 +217,6 @@ type Coordinator struct {
 
 	rr     atomic.Uint64 // rotates shard→worker assignment across scans
 	closed atomic.Bool
-
-	// Exchange-plane group ids: base is fixed at construction from the
-	// wall clock, seq increments per exchange, so ids are unique across
-	// coordinator restarts (stale mailbox deposits from a previous
-	// incarnation can never match a live group).
-	xchgBase uint64
-	xchgSeq  atomic.Uint64
 }
 
 var _ serve.Backend = (*Coordinator)(nil)
@@ -254,7 +239,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: unknown worker protocol %q", cfg.Proto)
 	}
 	switch cfg.DataPlane {
-	case "", DataPlaneStar, DataPlaneExchange:
+	case "", DataPlaneStar:
 	default:
 		return nil, fmt.Errorf("cluster: unknown data plane %q", cfg.DataPlane)
 	}
@@ -266,7 +251,6 @@ func New(cfg Config) (*Coordinator, error) {
 		fpCrash:     cfg.Faults.Point(fault.ClusterCoordCrash),
 		fpBeatDrop:  cfg.Faults.Point(fault.ClusterHeartbeatDrop),
 		fpJoinStorm: cfg.Faults.Point(fault.ClusterJoinStorm),
-		xchgBase:    uint64(time.Now().UnixNano()) << 20,
 	}
 	c.reg = newRegistry(cfg, &c.stats)
 	c.userOps = newUserOps(cfg.OpCap)
@@ -449,9 +433,8 @@ func (c *Coordinator) scanRoot(ctx context.Context, spec serve.Spec, data []int6
 		return nil, rerr
 	}
 	if w := spec.Width(); w > 1 {
-		// Tuple monoids: the scalar carry plan cannot thread a
-		// tuple-valued seed through a phantom element, so a wide user
-		// scan dispatches as ONE unsplit piece (see scanSeeded) — which
+		// Tuple monoids: the carry chain is scalar, so a wide user scan
+		// dispatches as ONE unsplit piece (see scanSeeded) — which
 		// bounds it to a single wire request and a single segment.
 		switch {
 		case len(data)%w != 0:
@@ -511,9 +494,10 @@ func (c *Coordinator) finish(err error) error {
 	return err
 }
 
-// scanSeeded is the core: plan shards, cut pieces, compute every
-// piece's carry locally, dispatch all pieces concurrently, reassemble.
-// carry/seeded prepend a cross-request prefix (the streaming path).
+// scanSeeded is the core: plan shards, cut pieces, dispatch all pieces
+// unseeded and concurrently, then chain their block sums and combine
+// each carry into the reassembled result. carry/seeded prepend a
+// cross-request prefix (the streaming path).
 func (c *Coordinator) scanSeeded(ctx context.Context, spec serve.Spec, data []int64, flags []bool, carry int64, seeded bool, tenant string) ([]int64, error) {
 	n := len(data)
 	if n == 0 {
@@ -559,37 +543,9 @@ func (c *Coordinator) scanSeeded(ctx context.Context, spec serve.Spec, data []in
 	c.stats.shards.Add(uint64(len(shards)))
 	c.stats.pieces.Add(uint64(len(pieces)))
 
-	// Backward user ops skip the exchange plane by construction, not by
-	// fallback: the exchange's ⊗ folds on the right while the backward
-	// star chain folds on the left, and user monoids need not be
-	// commutative (serve/exchange.go's package comment).
-	if c.cfg.DataPlane == DataPlaneExchange &&
-		!(spec.Op == serve.OpUser && spec.Dir == serve.Backward) {
-		res, err := c.runExchange(ctx, spec, data, flags, pieces, carry, seeded, tenant)
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err // caller gone; a star re-run would fail the same way
-		}
-		// Any mid-exchange failure (a peer died, a round timed out, a
-		// worker predates the scan_xchg op) degrades this one scan to the
-		// star plane. runExchange never mutates data or pieces, so the
-		// fall-through below sees exactly the inputs it always has.
-		c.stats.xchgFallbacks.Add(1)
-	}
-
-	c.stats.carryPrescanElems.Add(uint64(n))
-	if err := seedPieces(spec, data, flags, pieces, carry, seeded); err != nil {
-		return nil, err // a VM fault folding carries (op_budget) — typed, not shard_failed-worthy retrying
-	}
-
-	// All pieces are pre-seeded, so they dispatch CONCURRENTLY — the
-	// carry chain cost was paid locally above, in parallel piece folds
-	// plus a chain as long as the piece count (the paper's "scan of the
-	// block sums", tiny by construction). The assembled result is an
-	// arena buffer (owned by the caller; the TCP front end returns it
-	// after encoding) and each piece copies its window in place.
+	// Every piece goes out raw and unseeded, all at once; each copies
+	// its reply into its window of out, an arena buffer owned by the
+	// caller (the TCP front end returns it after encoding).
 	out := arena.GetInt64s(n)
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -613,31 +569,93 @@ func (c *Coordinator) scanSeeded(ctx context.Context, spec serve.Spec, data []in
 		arena.PutInt64s(out)
 		return nil, firstErr
 	}
+	// The scan of the block sums, O(#pieces), then each seeded piece's
+	// carry combined into its window: a VM fault there (op_budget on the
+	// actual data) is typed, not a shard failure worth retrying.
+	folds := make([]int64, len(pieces))
+	var (
+		fr  combine.Frame
+		err error
+	)
+	for k := range pieces {
+		if folds[k], err = blockSum(spec, &fr, data, out, &pieces[k]); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = seedPieces(spec, flags, pieces, folds, carry, seeded)
+	}
+	if err == nil {
+		err = combineCarries(spec, out, pieces)
+	}
+	if err != nil {
+		arena.PutInt64s(out)
+		return nil, err
+	}
 	return out, nil
 }
 
-// runPiece executes one piece to completion: build the (possibly
-// phantom-seeded) payload, retry under the policy — preferring a
-// different healthy worker after the first failure — and copy the
-// response (minus the phantom position) into dst, the piece's window
-// of the caller's output buffer. Both the seeded payload and the
-// decoded response live in arena buffers that circulate back here; the
-// raw response is copied rather than trimmed in place because res[1:]
-// would lose the Put-able base pointer.
-func (c *Coordinator) runPiece(ctx context.Context, spec serve.Spec, data []int64, dst []int64, pc *piece, tenant string) error {
-	seg := data[pc.off:pc.end]
-	payload := seg
-	if pc.seeded {
-		payload = arena.GetInt64s(len(seg) + 1)
-		defer arena.PutInt64s(payload)
-		if spec.Dir == serve.Forward {
-			payload[0] = pc.seed
-			copy(payload[1:], seg)
-		} else {
-			copy(payload, seg)
-			payload[len(seg)] = pc.seed
-		}
+// blockSum reads a piece's block sum (the fold of its data in scan
+// order) off its unseeded reply in out: the element at the piece's far
+// end for inclusive scans; for exclusive ones that element combined
+// with the matching input, on the right going forward and on the left
+// going backward.
+func blockSum(spec serve.Spec, fr *combine.Frame, data, out []int64, pc *piece) (int64, error) {
+	far := pc.end - 1
+	if spec.Dir == serve.Backward {
+		far = pc.off
 	}
+	switch {
+	case spec.Kind == serve.Inclusive:
+		return out[far], nil
+	case spec.Dir == serve.Backward:
+		return serve.CombineSpec(spec, fr, data[far], out[far])
+	}
+	return serve.CombineSpec(spec, fr, out[far], data[far])
+}
+
+// combineCarries combines every seeded piece's carry into its window
+// of out, at most GOMAXPROCS pieces at a time, and returns the first
+// error.
+func combineCarries(spec serve.Spec, out []int64, pieces []piece) error {
+	if !slices.ContainsFunc(pieces, func(pc piece) bool { return pc.seeded }) {
+		return nil
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	cpus := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range pieces {
+		pc := &pieces[i]
+		if !pc.seeded {
+			continue
+		}
+		wg.Add(1)
+		cpus <- struct{}{}
+		go func() {
+			defer func() { <-cpus; wg.Done() }()
+			if err := serve.CarrySpec(spec, out[pc.off:pc.end], pc.seed, spec.Dir); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// runPiece executes one piece to completion: retry under the policy —
+// preferring a different healthy worker after the first failure — and
+// copy the response into dst, the piece's window of the caller's output
+// buffer. The payload is the caller's own data, never copied; the
+// decoded response is an arena buffer that circulates back here.
+func (c *Coordinator) runPiece(ctx context.Context, spec serve.Spec, data []int64, dst []int64, pc *piece, tenant string) error {
+	payload := data[pc.off:pc.end]
 	var (
 		res     []int64
 		attempt int
@@ -667,22 +685,11 @@ func (c *Coordinator) runPiece(ctx context.Context, spec serve.Spec, data []int6
 	if len(res) > 0 {
 		defer arena.PutInt64s(res)
 	}
-	want := len(seg)
-	if pc.seeded {
-		want++
-	}
-	if len(res) != want {
+	if len(res) != len(payload) {
 		return fmt.Errorf("%w: worker returned %d elements for a %d-element piece",
-			serve.ErrInternal, len(res), want)
+			serve.ErrInternal, len(res), len(payload))
 	}
-	switch {
-	case pc.seeded && spec.Dir == serve.Forward:
-		copy(dst, res[1:]) // drop the phantom head's output
-	case pc.seeded:
-		copy(dst, res[:len(res)-1]) // drop the phantom tail's output
-	default:
-		copy(dst, res)
-	}
+	copy(dst, res)
 	return nil
 }
 
@@ -834,7 +841,6 @@ func connLevel(err error) bool {
 		errors.Is(err, serve.ErrNoStream),
 		errors.Is(err, serve.ErrStreamFailed),
 		errors.Is(err, serve.ErrStreamUnsupported),
-		errors.Is(err, serve.ErrXchgFailed),
 		errors.Is(err, serve.ErrBadOp),
 		errors.Is(err, serve.ErrOpBudget),
 		errors.Is(err, serve.ErrOpHash):

@@ -423,3 +423,18 @@ func TestJitteredProbeZeroInterval(t *testing.T) {
 		r.close()
 	}
 }
+
+// TestNewDataPlane: "" and "star" name the one data plane; any other
+// value, the retired "exchange" included, is refused at construction.
+func TestNewDataPlane(t *testing.T) {
+	for _, plane := range []string{"", DataPlaneStar} {
+		c, err := New(Config{Workers: []string{"127.0.0.1:1"}, DataPlane: plane})
+		if err != nil {
+			t.Fatalf("DataPlane %q: %v", plane, err)
+		}
+		c.Close()
+	}
+	if _, err := New(Config{Workers: []string{"127.0.0.1:1"}, DataPlane: "exchange"}); err == nil {
+		t.Fatal(`DataPlane "exchange" accepted`)
+	}
+}

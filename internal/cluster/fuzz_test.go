@@ -50,7 +50,7 @@ func fuzzAddrs() ([]string, error) {
 // (shard_failed / deadline) — never a wrong answer, never an untyped
 // error. The op dimension includes two registered user ops, one per
 // driver class — satadd (vector) and gcd (one-lane Exec walk) — so the
-// star plane's per-piece folds (serve.FoldSpec) face the reference
+// coordinator's carry combines (serve.CarrySpec) face the reference
 // too. scripts/check.sh runs a timed burst of this.
 func FuzzShardedScanMatchesSingleNode(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(0), uint8(2), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 0, 1})
@@ -58,7 +58,7 @@ func FuzzShardedScanMatchesSingleNode(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), uint8(3), []byte{128, 64, 32}, []byte{1})
 	f.Add(uint8(3), uint8(0), uint8(0), uint8(1), uint8(4), []byte{7, 7, 7, 7, 7, 7, 7}, []byte{0, 1})
 	// User ops on four workers with stretched pieces: each shard is one
-	// 100-element piece, so satadd's folds run on the vector engine.
+	// 100-element piece, so satadd's piece scans run on the vector engine.
 	f.Add(uint8(4), uint8(1), uint8(0), uint8(8), uint8(1), bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6}, 50), []byte{})
 	f.Add(uint8(5), uint8(0), uint8(1), uint8(8), uint8(2), bytes.Repeat([]byte{12, 18, 30, 42}, 100), []byte{})
 	f.Fuzz(func(t *testing.T, opB, kindB, dirB, nwB, faultB uint8, raw, flagPat []byte) {
@@ -107,8 +107,8 @@ func FuzzShardedScanMatchesSingleNode(f *testing.F) {
 		}
 		nw := 1 + int(nwB)%5
 		// Bit 3 of nwB stretches pieces 64×, so whole shards become
-		// single pieces long enough for user-op folds to take the vector
-		// engine (combine.MinVecTuples).
+		// single pieces long enough for user-op piece scans to take the
+		// vector engine (combine.MinVecTuples).
 		maxPiece := 2 + int(faultB%13)
 		if nwB&8 != 0 {
 			maxPiece *= 64

@@ -211,16 +211,16 @@ func TestFailoverGapUnderStreamedLoad(t *testing.T) {
 		float64(first.Sub(killedAt))/float64(time.Millisecond), resumed, failedOver)
 }
 
-// TestExchangeClosedLoopNoCarryWork gates the exchange data plane's
-// O(#workers) coordinator: under concurrent load, workers trade block
-// sums among themselves, so the coordinator must fold no element
-// (CarryPrescanElems == 0) and no scan may fall back to the star plane.
-// n=16384 across 2 workers forces real multi-rank exchanges: the
-// default MinShardElems is 4096, so every scan spans both workers.
-func TestExchangeClosedLoopNoCarryWork(t *testing.T) {
+// TestClusterClosedLoopNoCarryPrescan gates the data plane's O(#pieces)
+// carry work before dispatch: under concurrent load every block sum is
+// read off a piece's reply, so the coordinator must fold no element
+// ahead of the scan (CarryPrescanElems == 0). n=16384 across 2 workers
+// seeds real carries: the default MinShardElems is 4096, so every scan
+// spans both workers.
+func TestClusterClosedLoopNoCarryPrescan(t *testing.T) {
 	const requests = 400
 	addrs := startWorkers(t, 2, gateWorkerConfig)
-	coord := newCoord(t, Config{Workers: addrs, Proto: serve.ProtoBin, DataPlane: DataPlaneExchange, Retry: gateRetry})
+	coord := newCoord(t, Config{Workers: addrs, Proto: serve.ProtoBin, Retry: gateRetry})
 	res := clusterLoop(requests/gateClients, 16384, 5*time.Second, func(ctx context.Context, c int, data []int64) ([]int64, error) {
 		return coord.Scan(ctx, gateSpec, data, tenantOf(c))
 	})
@@ -228,8 +228,8 @@ func TestExchangeClosedLoopNoCarryWork(t *testing.T) {
 		t.Fatalf("%d of %d requests succeeded (first error: %v)", res.success, requests, res.firstEr)
 	}
 	st := coord.Stats()
-	if st.XchgFallbacks != 0 || st.CarryPrescanElems != 0 {
-		t.Fatalf("coordinator did carry work in exchange mode: xchg_fallbacks=%d carry_prescan=%d (%v)",
-			st.XchgFallbacks, st.CarryPrescanElems, st)
+	if st.CarryPrescanElems != 0 || st.Pieces < 2*requests {
+		t.Fatalf("coordinator folded ahead of dispatch or never split: carry_prescan=%d pieces=%d (%v)",
+			st.CarryPrescanElems, st.Pieces, st)
 	}
 }

@@ -27,9 +27,7 @@ import (
 // everywhere else — attemptOn pre-pushes from the per-worker cache
 // before a piece's first use on a worker, and re-pushes + retries once
 // when the worker answers op_hash/bad_request anyway (the cache can lie
-// across a worker restart). The exchange plane never retries in place —
-// a mid-exchange mismatch aborts the group and the star re-run's push
-// machinery repairs the worker.
+// across a worker restart).
 
 // opPushTimeout bounds one best-effort registration push.
 const opPushTimeout = 2 * time.Second

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"scans/internal/combine"
 	"scans/internal/serve"
@@ -14,8 +12,8 @@ import (
 // (the wire requests actually sent). Pieces are cut at two kinds of
 // boundary: MaxPieceElems (so a piece's worst-case response fits the
 // line budget) and interior segment heads (so every piece lies within
-// one segment and its carry is a single value the phantom element can
-// express). All of a shard's pieces go to the shard's worker, whose own
+// one segment, scans unsegmented on its worker, and takes one carry or
+// none). All of a shard's pieces go to the shard's worker, whose own
 // batcher fuses them back into one segmented kernel pass — the cut
 // costs wire messages, not kernel passes.
 
@@ -26,8 +24,9 @@ type shard struct {
 }
 
 // piece is one wire request: a sub-range of a shard with its carry
-// seed. headAt records whether the piece's first element starts a
-// segment (such pieces are never seeded — the scan restarts there).
+// seed, combined into the piece's reply when seeded. headAt records
+// whether the piece's first element starts a segment (such pieces are
+// never seeded — the scan restarts there).
 type piece struct {
 	off, end int
 	w        *worker
@@ -144,45 +143,21 @@ func cutPieces(shards []shard, flags []bool, maxPiece int) []piece {
 	return pieces
 }
 
-// seedPieces computes every piece's carry: the paper's "scan of the
-// block sums", done locally so all pieces can dispatch concurrently.
-// Phase 1 folds each piece in parallel (pieces have no interior heads,
-// so a plain fold is the piece's segmented sum). Phase 2 chains the
-// folds — forward left-to-right, backward right-to-left — resetting at
-// segment heads, which is the ONLY place segment structure enters the
-// cluster math.
+// seedPieces computes every piece's carry from the pieces' block sums
+// (folds[k] is piece k's fold in scan order): the paper's "scan of the
+// block sums", O(#pieces) at the coordinator. It chains the folds —
+// forward left-to-right, backward right-to-left — resetting at segment
+// heads, which is the ONLY place segment structure enters the cluster
+// math.
 //
 // A piece is seeded unless the scan (re)starts at its first position:
 // forward, that is a segment head or the true start of an unseeded
 // request; backward, the mirror — the vector's end or a segment
-// boundary immediately after the piece.
-// Each piece's fold is serve.FoldSpec: a native loop for builtin and
-// promoted ops, combine's driver for other user ops. A VM fault —
-// realistically only op_budget, on the piece's actual data — aborts the
-// whole seeding with the typed error, since a missing carry poisons
-// every piece after it.
-func seedPieces(spec serve.Spec, data []int64, flags []bool, pieces []piece, carry int64, seeded bool) error {
-	folds := make([]int64, len(pieces))
-	errs := make([]error, len(pieces))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := range pieces {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			folds[k], errs[k] = serve.FoldSpec(spec, data[pieces[k].off:pieces[k].end])
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	n := len(data)
+// boundary immediately after the piece. A user op's VM fault —
+// realistically only op_budget — aborts the chain with the typed error,
+// since a missing carry poisons every piece after it.
+func seedPieces(spec serve.Spec, flags []bool, pieces []piece, folds []int64, carry int64, seeded bool) error {
+	n := pieces[len(pieces)-1].end
 	var fr combine.Frame
 	if spec.Dir == serve.Forward {
 		accv := serve.IdentitySpec(spec)

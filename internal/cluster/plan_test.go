@@ -133,10 +133,20 @@ func TestSeedChain(t *testing.T) {
 	}
 	sum := serve.Spec{Op: serve.OpSum, Kind: serve.Inclusive, Dir: serve.Forward}
 	data := []int64{1, 2, 3, 4, 5, 6}
+	// Each piece's block sum, as scanSeeded reads it off the reply.
+	folds := func(ps []piece) []int64 {
+		f := make([]int64, len(ps))
+		for k, pc := range ps {
+			for _, v := range data[pc.off:pc.end] {
+				f[k] += v
+			}
+		}
+		return f
+	}
 
 	// Unsegmented forward: seeds are the prefix sums of the piece folds.
 	ps := mk(0, 2, 4, 6)
-	seedPieces(sum, data, nil, ps, 0, false)
+	seedPieces(sum, nil, ps, folds(ps), 0, false)
 	if ps[0].seeded || !ps[1].seeded || !ps[2].seeded {
 		t.Fatalf("forward seeded flags: %+v", ps)
 	}
@@ -146,7 +156,7 @@ func TestSeedChain(t *testing.T) {
 
 	// Stream carry prepends to everything.
 	ps = mk(0, 2, 4, 6)
-	seedPieces(sum, data, nil, ps, 100, true)
+	seedPieces(sum, nil, ps, folds(ps), 100, true)
 	if !ps[0].seeded || ps[0].seed != 100 || ps[1].seed != 103 || ps[2].seed != 110 {
 		t.Fatalf("stream-carry seeds: %+v", ps)
 	}
@@ -159,7 +169,7 @@ func TestSeedChain(t *testing.T) {
 	for i := range ps {
 		ps[i].headAt = flags[ps[i].off]
 	}
-	seedPieces(sum, data, flags, ps, 0, false)
+	seedPieces(sum, flags, ps, folds(ps), 0, false)
 	if ps[2].seeded {
 		t.Fatalf("piece at segment head must be unseeded: %+v", ps[2])
 	}
@@ -169,7 +179,7 @@ func TestSeedChain(t *testing.T) {
 	// and piece 2 still has no carry (end of vector).
 	bsum := serve.Spec{Op: serve.OpSum, Kind: serve.Inclusive, Dir: serve.Backward}
 	ps = mk(0, 2, 4, 6)
-	seedPieces(bsum, data, nil, ps, 0, false)
+	seedPieces(bsum, nil, ps, folds(ps), 0, false)
 	if !ps[0].seeded || ps[0].seed != 3+4+5+6 || !ps[1].seeded || ps[1].seed != 11 || ps[2].seeded {
 		t.Fatalf("backward seeds: %+v", ps)
 	}
@@ -177,7 +187,7 @@ func TestSeedChain(t *testing.T) {
 	for i := range ps {
 		ps[i].headAt = flags[ps[i].off]
 	}
-	seedPieces(bsum, data, flags, ps, 0, false)
+	seedPieces(bsum, flags, ps, folds(ps), 0, false)
 	if ps[0].seeded == false || ps[0].seed != 3+4 {
 		t.Fatalf("backward segmented piece 0: %+v", ps[0])
 	}

@@ -19,8 +19,6 @@ type coordStats struct {
 	hedges    atomic.Uint64
 	hedgeWins atomic.Uint64
 
-	xchgRequests      atomic.Uint64
-	xchgFallbacks     atomic.Uint64
 	carryPrescanElems atomic.Uint64
 
 	ejections    atomic.Uint64
@@ -75,15 +73,10 @@ type Stats struct {
 	// HedgeAfter; HedgeWins counts the hedges that answered first.
 	Hedges    uint64
 	HedgeWins uint64
-	// XchgRequests counts scans attempted on the exchange data plane
-	// (Config.DataPlane == "exchange"); XchgFallbacks counts the subset
-	// that failed mid-exchange and were re-run on the star plane.
-	XchgRequests  uint64
-	XchgFallbacks uint64
-	// CarryPrescanElems counts elements the COORDINATOR folded while
-	// pre-seeding pieces on the star plane — the O(n) sequential work
-	// the exchange plane exists to eliminate. An exchange-mode run with
-	// no fallbacks reports 0; check.sh gates on that.
+	// CarryPrescanElems counts elements the coordinator folded BEFORE
+	// dispatch to seed pieces. The data plane reads every block sum off
+	// a reply instead, so it stays 0; TestClusterClosedLoopNoCarryPrescan
+	// gates on that.
 	CarryPrescanElems uint64
 	// Ejections counts workers removed from planning after EjectAfter
 	// consecutive connection-level failures; Readmissions counts
@@ -131,13 +124,13 @@ func (s Stats) String() string {
 	return fmt.Sprintf(
 		"requests=%d rejected=%d served=%d shard_failed=%d deadline=%d "+
 			"shards=%d pieces=%d retries=%d hedges=%d hedge_wins=%d "+
-			"xchg=%d xchg_fallbacks=%d carry_prescan=%d "+
+			"carry_prescan=%d "+
 			"ejections=%d readmissions=%d heartbeats=%d joins=%d beat_ejections=%d "+
 			"streams{open=%d closed=%d failed=%d active=%d} resumes=%d resume_misses=%d "+
 			"user_ops{registers=%d rejects=%d pushes=%d push_fails=%d}",
 		s.Requests, s.Rejected, s.Served, s.ShardFailed, s.Deadline,
 		s.Shards, s.Pieces, s.Retries, s.Hedges, s.HedgeWins,
-		s.XchgRequests, s.XchgFallbacks, s.CarryPrescanElems,
+		s.CarryPrescanElems,
 		s.Ejections, s.Readmissions, s.Heartbeats, s.Joins, s.BeatEjections,
 		s.StreamsOpened, s.StreamsClosed, s.StreamsFailed, s.StreamsActive,
 		s.Resumes, s.ResumeMisses,
@@ -158,8 +151,6 @@ func (c *Coordinator) Stats() Stats {
 		Retries:           st.retries.Load(),
 		Hedges:            st.hedges.Load(),
 		HedgeWins:         st.hedgeWins.Load(),
-		XchgRequests:      st.xchgRequests.Load(),
-		XchgFallbacks:     st.xchgFallbacks.Load(),
 		CarryPrescanElems: st.carryPrescanElems.Load(),
 		Ejections:         st.ejections.Load(),
 		Readmissions:      st.readmissions.Load(),

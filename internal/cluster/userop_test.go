@@ -13,9 +13,9 @@ import (
 )
 
 // User combine ops through the coordinator: registration propagates to
-// the fleet, scans run bit-identically across every path (one-shot vs
-// streamed, star vs exchange), and hash skew degrades to the star
-// plane's repair machinery instead of a wrong answer.
+// the fleet, scans run bit-identically across every path (single-node,
+// cluster one-shot and streamed), and hash skew degrades to the push
+// repair machinery instead of a wrong answer.
 
 // gcdScanRef computes the reference gcd scan (ExampleGCD's monoid:
 // gcd on magnitudes, abs(MinInt64)=1, identity 0).
@@ -94,13 +94,12 @@ func satAddScanRef(data []int64, spec serve.Spec) []int64 {
 
 func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 	// The acceptance matrix: registered monoids, one input vector each,
-	// every serving path — single-node, cluster-star, cluster-exchange,
-	// and streamed through the coordinator — answers the same bits. gcd
-	// never compiles, so every fold walks one lane through Exec; satadd
-	// compiles, so 500-element shards fold on the vector engine.
+	// every serving path — single-node, cluster, and streamed through
+	// the coordinator — answers the same bits. gcd never compiles, so
+	// every carry walks Exec; satadd compiles, so 500-element shards
+	// take their carries on the vector engine.
 	workers := startWorkers(t, 3, serve.Config{MaxWait: 100 * time.Microsecond})
 	star := newCoord(t, Config{Workers: workers, MinShardElems: 64, DataPlane: DataPlaneStar})
-	xchg := newCoord(t, Config{Workers: workers, MinShardElems: 64, DataPlane: DataPlaneExchange})
 
 	single := serve.New(serve.Config{MaxWait: 100 * time.Microsecond})
 	defer single.Close()
@@ -122,10 +121,8 @@ func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 		if _, err := single.RegisterScanOp("t", op.name, op.source); err != nil {
 			t.Fatalf("single-node register %s: %v", op.name, err)
 		}
-		for _, c := range []*Coordinator{star, xchg} {
-			if _, err := c.RegisterScanOp("t", op.name, op.source); err != nil {
-				t.Fatalf("coordinator register %s: %v", op.name, err)
-			}
+		if _, err := star.RegisterScanOp("t", op.name, op.source); err != nil {
+			t.Fatalf("coordinator register %s: %v", op.name, err)
 		}
 	}
 
@@ -147,14 +144,12 @@ func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s single-node %s %s diverged from reference", op.name, kind, dir)
 				}
-				for name, c := range map[string]*Coordinator{"star": star, "exchange": xchg} {
-					got, err := c.Scan(ctx, spec, data, "t")
-					if err != nil {
-						t.Fatalf("%s %s %s %s: %v", op.name, name, kind, dir, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %s %s %s diverged from single-node", op.name, name, kind, dir)
-					}
+				got, err = star.Scan(ctx, spec, data, "t")
+				if err != nil {
+					t.Fatalf("%s cluster %s %s: %v", op.name, kind, dir, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s cluster %s %s diverged from single-node", op.name, kind, dir)
 				}
 
 				if dir == serve.Forward {
@@ -188,12 +183,8 @@ func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The exchange coordinator really used its data plane for the
-	// forward specs (no silent always-fallback), and pushed the op.
-	st := xchg.Stats()
-	if st.XchgRequests == 0 {
-		t.Fatal("exchange coordinator never attempted the exchange plane")
-	}
+	// The coordinator pushed the op.
+	st := star.Stats()
 	if st.OpRegisters != uint64(len(ops)) || st.OpPushes == 0 {
 		t.Fatalf("op ledger: registers=%d pushes=%d, want %d and >0", st.OpRegisters, st.OpPushes, len(ops))
 	}
@@ -201,14 +192,15 @@ func TestClusterUserOpCrossPathBitIdentical(t *testing.T) {
 
 func TestClusterUserOpHashSkewRepairs(t *testing.T) {
 	// A worker whose registration drifts (re-registered behind the
-	// coordinator's back) answers op_hash to pinned pieces. The exchange
-	// plane must abort to star, and star's push-and-retry must repair
-	// the worker — the scan still answers the right bits.
+	// coordinator's back) answers op_hash to pinned pieces. The piece's
+	// push-and-retry must repair the worker — the scan still answers the
+	// right bits, after one more push than registration made.
 	workers := startWorkers(t, 2, serve.Config{MaxWait: 100 * time.Microsecond})
-	c := newCoord(t, Config{Workers: workers, MinShardElems: 64, DataPlane: DataPlaneExchange})
+	c := newCoord(t, Config{Workers: workers, MinShardElems: 64})
 	if _, err := c.RegisterScanOp("t", "gcd", combine.ExampleGCD); err != nil {
 		t.Fatalf("register: %v", err)
 	}
+	pushed := c.Stats().OpPushes
 
 	// Corrupt worker 0: same tenant, same name, different program.
 	wcli, err := serve.Dial(workers[0])
@@ -232,8 +224,8 @@ func TestClusterUserOpHashSkewRepairs(t *testing.T) {
 	if want := gcdScanRef(data, serve.Exclusive, serve.Forward); !reflect.DeepEqual(got, want) {
 		t.Fatal("scan across hash skew returned wrong bits")
 	}
-	if st := c.Stats(); st.XchgFallbacks == 0 {
-		t.Fatalf("expected an exchange fallback, stats: %s", st)
+	if st := c.Stats(); st.OpPushes <= pushed {
+		t.Fatalf("expected a repair push beyond registration's %d, stats: %s", pushed, st)
 	}
 }
 
@@ -329,5 +321,103 @@ func TestClusterUserOpSegmentedMatchesReference(t *testing.T) {
 	copy(want[seg:], gcdScanRef(data[seg:], serve.Inclusive, serve.Forward))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("segmented cluster gcd diverged from reference")
+	}
+}
+
+// TestClusterCarrySideNonCommutative pins which side each piece's carry
+// is combined on. Last non-zero (b != 0 ? b : a, identity 0) does not
+// commute, so a carry combined on the wrong side changes the answer
+// wherever a piece's own prefix is non-zero. The op is registered in a
+// form the vector engine runs and in a branchy form that walks Exec.
+// Two workers and 40-element pieces give every 200-element scan at
+// least five pieces; sparse non-zeros leave runs of zeros across piece
+// boundaries, so carries matter. Every kind × dir runs unsegmented and
+// segmented (heads inside pieces and on piece and shard boundaries),
+// and the forward specs also run streamed in 130-element chunks.
+func TestClusterCarrySideNonCommutative(t *testing.T) {
+	workers := startWorkers(t, 2, serve.Config{MaxWait: 100 * time.Microsecond})
+	c := newCoord(t, Config{Workers: workers, MinShardElems: 8, MaxPieceElems: 40})
+	ops := map[string]string{
+		"lastnz": `
+.width 1
+.identity 0
+	argb 0
+	arga 0
+	argb 0
+	select
+`,
+		"lastnz_br": `
+.width 1
+.identity 0
+	argb 0
+	jnz useb
+	arga 0
+	ret
+useb:
+	argb 0
+`,
+	}
+	ref := scan.Func[int64]{F: func(a, b int64) int64 {
+		if b != 0 {
+			return b
+		}
+		return a
+	}}
+	data := make([]int64, 200)
+	for i := range data {
+		if i%37 == 5 || i%23 == 11 {
+			data[i] = int64(i + 1)
+		}
+	}
+	flags := make([]bool, len(data))
+	for _, h := range []int{40, 57, 100, 163} {
+		flags[h] = true
+	}
+	ctx := context.Background()
+	for name, src := range ops {
+		if _, err := c.RegisterScanOp("t", name, src); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+		for _, kind := range []serve.Kind{serve.Inclusive, serve.Exclusive} {
+			for _, dir := range []serve.Dir{serve.Forward, serve.Backward} {
+				spec, err := serve.ParseSpec("user:"+name, kind.String(), dir.String())
+				if err != nil {
+					t.Fatalf("ParseSpec: %v", err)
+				}
+				for _, fl := range [][]bool{nil, flags} {
+					got, err := c.ScanSegmented(ctx, spec, data, fl, "t")
+					if err != nil {
+						t.Fatalf("%s %s %s segmented=%v: %v", name, kind, dir, fl != nil, err)
+					}
+					if want := directSegFunc(ref, spec, data, fl); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s %s segmented=%v:\n got %v\nwant %v", name, kind, dir, fl != nil, got, want)
+					}
+				}
+				if dir == serve.Backward {
+					continue
+				}
+				st, err := c.OpenScanStream(spec, "t")
+				if err != nil {
+					t.Fatalf("OpenScanStream: %v", err)
+				}
+				var streamed []int64
+				for off := 0; off < len(data); off += 130 {
+					res, err := st.Push(ctx, data[off:min(off+130, len(data))])
+					if err != nil {
+						t.Fatalf("%s %s Push: %v", name, kind, err)
+					}
+					streamed = append(streamed, res...)
+				}
+				if _, err := st.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				if want := directSegFunc(ref, spec, data, nil); !reflect.DeepEqual(streamed, want) {
+					t.Fatalf("%s %s streamed:\n got %v\nwant %v", name, kind, streamed, want)
+				}
+			}
+		}
+	}
+	if st := c.Stats(); st.Pieces < 3*st.Requests {
+		t.Fatalf("%d pieces for %d requests: fewer than three per scan", st.Pieces, st.Requests)
 	}
 }

@@ -41,7 +41,7 @@ const (
 	LaneBlock = 256
 
 	// MinVecTuples is the request size, in tuples, below which
-	// Registered.Scan and Fold keep the one-lane walk: the blocked scan
+	// Registered.Scan keeps the one-lane walk: the blocked scan
 	// does ~2× the combine work (block sums + re-scan), which only pays
 	// once enough lanes amortize the dispatch.
 	MinVecTuples = 64
@@ -826,14 +826,6 @@ func (ln *lanes) walk(dst, src []int64, inclusive, backward bool) error {
 	return nil
 }
 
-// sums is pass 1: sc.acc holds each lane's fold.
-func (ln *lanes) sums(src []int64) error {
-	for l := 0; l < ln.n; l++ {
-		copy(ln.sc.acc[l*ln.w:], ln.p.Identity)
-	}
-	return ln.walk(nil, src, false, false)
-}
-
 // seeds is pass 2: an exclusive scan of the lane sums in sc.acc, from
 // init, into sc.seed — right to left when backward.
 func (ln *lanes) seeds(init []int64, backward bool) error {
@@ -868,8 +860,11 @@ func (vp *VecPlan) ScanBlocked(sc *VecScratch, p *Program, dst, src []int64, inc
 		return nil
 	}
 	ln := splitLanes(sc, vp, p, len(src)/w)
-	if ln.n > 1 {
-		if err := ln.sums(src); err != nil {
+	if ln.n > 1 { // pass 1: sc.acc holds each lane's fold
+		for l := 0; l < ln.n; l++ {
+			copy(sc.acc[l*w:], p.Identity)
+		}
+		if err := ln.walk(nil, src, false, false); err != nil {
 			return err
 		}
 	}
@@ -885,37 +880,42 @@ func (vp *VecPlan) ScanBlocked(sc *VecScratch, p *Program, dst, src []int64, inc
 	return ln.walk(dst, src, inclusive, backward)
 }
 
-// vecPlan picks the driver's step for an n-element request: the plan,
-// or nil — one lane — when the op did not compile, the request is under
-// MinVecTuples, or scalar forces it.
-func (r *Registered) vecPlan(n int, scalar bool) *VecPlan {
-	if scalar || n/r.Width() < MinVecTuples {
-		return nil
-	}
-	return r.Plan()
-}
-
-// Scan scans src into dst with the op through the driver; scalar forces
-// the one-lane walk, and vectorized reports whether the vector engine
-// ran.
+// Scan scans src into dst with the op through the driver, stepping
+// with the plan unless the op did not compile, the request is under
+// MinVecTuples, or scalar forces the one-lane walk; vectorized reports
+// whether the vector engine ran.
 func (r *Registered) Scan(sc *VecScratch, dst, src []int64, inclusive, backward bool, carry int64, seeded, scalar bool) (vectorized bool, err error) {
-	vp := r.vecPlan(len(src), scalar)
+	var vp *VecPlan
+	if !scalar && len(src)/r.Width() >= MinVecTuples {
+		vp = r.Plan()
+	}
 	return vp != nil, vp.ScanBlocked(sc, r.Prog, dst, src, inclusive, backward, carry, seeded)
 }
 
-// Fold writes the fold of src's tuples, identity ⊗ src[0] ⊗ … in order,
-// to dst: passes 1–2, then the last lane's seed ⊗ its sum.
-func (r *Registered) Fold(sc *VecScratch, dst, src []int64) error {
-	p, w := r.Prog, r.Width()
-	ln := splitLanes(sc, r.vecPlan(len(src), false), p, len(src)/w)
-	if err := ln.sums(src); err != nil {
-		return err
+// Carry combines carry into every element of the width-1 dst in
+// place: carry ⊗ dst[i], or dst[i] ⊗ carry when right — the last step
+// of the block-sum decomposition, for one seeded block. A compiled op
+// runs one vector Run per LaneBlock elements with the carry as a
+// stride-0 operand; an op that did not compile steps Exec per element,
+// which can fail (ErrBudget).
+func (r *Registered) Carry(sc *VecScratch, dst []int64, carry int64, right bool) error {
+	c, vp := [1]int64{carry}, r.Plan()
+	for lo, nl := 0, 1; lo < len(dst); lo += nl {
+		if vp != nil {
+			nl = min(LaneBlock, len(dst)-lo)
+		}
+		blk := dst[lo : lo+nl]
+		a, as, b, bs := c[:], 0, blk, 1
+		if right {
+			a, as, b, bs = b, bs, a, as
+		}
+		if vp != nil {
+			vp.Run(sc, nl, blk, 1, a, as, b, bs)
+		} else if err := r.Prog.Exec(&sc.fr, blk, a, b); err != nil {
+			return err
+		}
 	}
-	if err := ln.seeds(p.Identity, false); err != nil {
-		return err
-	}
-	last := (ln.n - 1) * w
-	return p.Exec(&sc.fr, dst[:w], sc.seed[last:last+w], sc.acc[last:last+w])
+	return nil
 }
 
 // emitAcc copies each active lane's accumulator tuple to its output

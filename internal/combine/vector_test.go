@@ -156,10 +156,10 @@ func scanSerialRef(t testing.TB, p *Program, dst, src []int64, inclusive, backwa
 
 // TestScanBlockedMatchesSerial pins every entry point of the driver —
 // ScanBlocked, Registered.Scan with and without the forced one-lane
-// walk, and Registered.Fold — to the serial reference, for every
-// example op (gcd included: it only ever walks one lane), at sizes on
-// both sides of MinVecTuples, LaneBlock, and the lane-length floor; and
-// a budget-tripping op to ErrBudget through Scan and Fold.
+// walk, and Registered.Carry on both sides — to the serial reference,
+// for every example op (gcd included: it only ever walks one lane), at
+// sizes on both sides of MinVecTuples, LaneBlock, and the lane-length
+// floor; and a budget-tripping op to ErrBudget through Scan and Carry.
 func TestScanBlockedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sizes := []int{0, 1, 3, MinVecTuples - 1, MinVecTuples, MinVecTuples + 1, 100,
@@ -184,18 +184,28 @@ func TestScanBlockedMatchesSerial(t *testing.T) {
 				}
 			}
 
-			wantFold := append([]int64(nil), p.Identity...)
-			var fr Frame
-			for k := 0; k < nt; k++ {
-				if err := p.Exec(&fr, wantFold, wantFold, src[k*w:(k+1)*w]); err != nil {
-					t.Fatalf("%s: reference fold: %v", name, err)
+			if w == 1 {
+				// Carry on either side: carry ⊗ src[k], src[k] ⊗ carry.
+				carry := rng.Int63() - rng.Int63()
+				var fr Frame
+				for _, right := range []bool{false, true} {
+					want := make([]int64, nt)
+					for k := range want {
+						a, b := []int64{carry}, src[k:k+1]
+						if right {
+							a, b = b, a
+						}
+						if err := p.Exec(&fr, want[k:k+1], a, b); err != nil {
+							t.Fatalf("%s: reference carry: %v", name, err)
+						}
+					}
+					got := append([]int64(nil), src...)
+					if err := reg.Carry(sc, got, carry, right); err != nil {
+						t.Fatalf("%s nt=%d: Carry(right=%v): %v", name, nt, right, err)
+					}
+					same(fmt.Sprintf("Carry(right=%v)", right), got, want)
 				}
 			}
-			gotFold := make([]int64, w)
-			if err := reg.Fold(sc, gotFold, src); err != nil {
-				t.Fatalf("%s nt=%d: Fold: %v", name, nt, err)
-			}
-			same("fold", gotFold, wantFold)
 
 			for _, inclusive := range []bool{false, true} {
 				for _, backward := range []bool{false, true} {
@@ -236,7 +246,7 @@ func TestScanBlockedMatchesSerial(t *testing.T) {
 
 	// An op whose loop runs away on one input (serve's spin op, out of
 	// the registration probes' reach) never compiles, so the one-lane
-	// walk meets that input: Scan and Fold both return ErrBudget,
+	// walk meets that input: Scan and Carry both return ErrBudget,
 	// either direction, at vector-eligible sizes too.
 	spin := &Registered{Name: "spin", Prog: mustProg(t, `
 .width 1
@@ -269,8 +279,17 @@ spin:
 				t.Errorf("spin nt=%d backward=%v: Scan err = %v, want ErrBudget", nt, backward, err)
 			}
 		}
-		if err := spin.Fold(sc, dst[:1], src); !errors.Is(err, ErrBudget) {
-			t.Errorf("spin nt=%d: Fold err = %v, want ErrBudget", nt, err)
+		// Carry meets 424242 as its left argument: the carry itself on
+		// the left, src[0] when the carry goes on the right.
+		for _, right := range []bool{false, true} {
+			copy(dst, src)
+			carry := int64(1)
+			if !right {
+				carry = 424242
+			}
+			if err := spin.Carry(sc, dst, carry, right); !errors.Is(err, ErrBudget) {
+				t.Errorf("spin nt=%d right=%v: Carry err = %v, want ErrBudget", nt, right, err)
+			}
 		}
 	}
 }
@@ -465,5 +484,64 @@ func BenchmarkScanScalarAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scanSerialRef(b, p, dst, src, true, false, 0, false)
+	}
+}
+
+// TestCarrySides pins which side Registered.Carry puts the carry on,
+// with the non-commutative last-non-zero monoid (b != 0 ? b : a) in a
+// compiled form and one that walks Exec: on the left a non-zero
+// element survives, on the right a non-zero carry wins.
+func TestCarrySides(t *testing.T) {
+	for class, src := range map[string]string{
+		"vector": `
+.width 1
+.identity 0
+	argb 0
+	arga 0
+	argb 0
+	select
+`,
+		"scalar": `
+.width 1
+.identity 0
+	argb 0
+	jnz useb
+	arga 0
+	ret
+useb:
+	argb 0
+`,
+	} {
+		p := mustProg(t, src)
+		if got := DispatchClass(p); got != class {
+			t.Fatalf("%s: dispatch class %q", class, got)
+		}
+		reg := &Registered{Name: "lastnz", Prog: p}
+		sc := NewVecScratch()
+		for _, nt := range []int{1, 7, LaneBlock + 3} {
+			src := make([]int64, nt)
+			for i := range src {
+				if i%3 != 0 {
+					src[i] = int64(i)
+				}
+			}
+			for _, carry := range []int64{0, -5} {
+				for _, right := range []bool{false, true} {
+					got := append([]int64(nil), src...)
+					if err := reg.Carry(sc, got, carry, right); err != nil {
+						t.Fatalf("%s nt=%d: %v", class, nt, err)
+					}
+					for i, v := range src {
+						want := v
+						if (right && carry != 0) || (!right && v == 0) {
+							want = carry
+						}
+						if got[i] != want {
+							t.Fatalf("%s nt=%d carry=%d right=%v: [%d] = %d, want %d", class, nt, carry, right, i, got[i], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -87,16 +87,6 @@ const (
 	// worker re-announces at once. Admission must stay idempotent: one
 	// registry entry per address, no duplicate shards.
 	ClusterJoinStorm = "cluster.worker.joinstorm"
-	// ClusterXchgDrop makes an exchange-mode participant "lose" its half
-	// of one carry-exchange round: the send to its partner is skipped,
-	// so the partner's await times out, both pieces fail typed
-	// (xchg_failed), and the coordinator must fall back to the star
-	// data plane with no lost or corrupted request.
-	ClusterXchgDrop = "cluster.xchg.drop"
-	// ClusterXchgSlow delays an exchange participant before each carry
-	// round, stretching exchanges toward the round timeout without
-	// breaking them.
-	ClusterXchgSlow = "cluster.xchg.slow"
 )
 
 // Set is an independent collection of fault points sharing one seeded

@@ -12,14 +12,13 @@ package scan
 // vectors are ever materialized, which is what makes the serving path
 // zero-copy (see internal/serve/batch.go).
 //
-// A seeded view continues a running prefix (a stream chunk's carry, or
-// a cluster shard's locally-computed seed): its accumulation starts
-// from Carry instead of the identity, at the head for forward scans and
-// at the tail for backward scans. This is algebraically identical to
-// the phantom-element injection the flat path used — an exclusive scan
-// of [c, a0, a1, ...] restarted at the head yields [id, c, c⊕a0, ...],
-// whose payload slots are exactly the exclusive scan of [a0, a1, ...]
-// seeded with c — but costs no extra slot.
+// A seeded view continues a running prefix (a stream chunk's carry):
+// its accumulation starts from Carry instead of the identity, at the
+// head for forward scans and at the tail for backward scans. This is
+// algebraically identical to scanning one extra leading element — an
+// exclusive scan of [c, a0, a1, ...] restarted at the head yields
+// [id, c, c⊕a0, ...], whose payload slots are exactly the exclusive
+// scan of [a0, a1, ...] seeded with c — but costs no extra slot.
 //
 // Zero-length views contribute no elements and no segment boundary;
 // they are skipped entirely.
@@ -80,8 +79,8 @@ func SegScanViewsInclusive[T any, O Op[T]](op O, views []View[T], p int) {
 // SegScanViewsExclusiveBackward computes, for each view independently,
 // the backward exclusive scan of Src into Dst: within a view, Dst[i]
 // combines the elements strictly after i, and a seeded view's carry
-// enters at the tail (the phantom-appended-element model of the flat
-// path, without the slot).
+// enters at the tail (as if one extra element holding it followed the
+// view, without the slot).
 func SegScanViewsExclusiveBackward[T any, O Op[T]](op O, views []View[T], p int) {
 	segScanViews("SegScanViewsExclusiveBackward", op, views, p, true, false)
 }
@@ -199,7 +198,7 @@ func viewsBackward[T any, O Op[T], L viewLoops[T]](op O, l L, views []View[T], n
 			e := g - viewStart
 			if e == len(vw.Src) && vw.Seeded {
 				// Entering the view at its tail: fold the carry in, as
-				// if a phantom element held it just past the last slot.
+				// if an extra element held it just past the last slot.
 				acc = op.Combine(vw.Carry, acc)
 			}
 			acc = scanRun(l, true, inclusive, vw.Dst[s:e], vw.Src[s:e], acc)

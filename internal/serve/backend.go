@@ -58,15 +58,6 @@ type OpRegistrar interface {
 	RegisterScanOp(tenant, name, source string) (hash uint64, err error)
 }
 
-// OpResolver is the backend capability the worker-side exchange plane
-// needs for user combine ops: bind spec's "user:<name>" to the live
-// registration (verifying a pinned hash — ErrOpHash on mismatch) so the
-// exchange's own block-sum folds can run the op's VM program. Width-1
-// ops only: the exchanged carries are scalars.
-type OpResolver interface {
-	ResolveScanOp(spec Spec, tenant string) (Spec, error)
-}
-
 // StreamResumer is the optional backend extension behind the
 // "stream_resume" wire message: a backend whose stream sessions survive
 // their carrying connection (the cluster coordinator, whose session

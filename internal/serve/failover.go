@@ -136,7 +136,6 @@ func connFailure(err error) bool {
 	for _, typed := range []error{
 		ErrBadRequest, ErrOverloaded, ErrInternal, ErrShed,
 		ErrNoStream, ErrStreamFailed, ErrStreamUnsupported, ErrShardFailed,
-		ErrXchgFailed,
 	} {
 		if errors.Is(err, typed) {
 			return false

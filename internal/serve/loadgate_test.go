@@ -27,14 +27,29 @@ const (
 	loadGateN       = 4096
 )
 
-// loadResult tallies one closed-loop run: throughput and each
-// request's terminal outcome.
+// loadResult tallies closed-loop runs: requests sent, time taken and
+// each request's terminal outcome.
 type loadResult struct {
-	rps     float64
+	sent    int
+	elapsed time.Duration
 	success int
 	badOp   int
 	failed  int   // any other terminal error
 	firstEr error // the first of those, for the failure message
+}
+
+func (r loadResult) rps() float64 { return float64(r.sent) / r.elapsed.Seconds() }
+
+// add folds another run's tally into r.
+func (r *loadResult) add(o loadResult) {
+	r.sent += o.sent
+	r.elapsed += o.elapsed
+	r.success += o.success
+	r.badOp += o.badOp
+	r.failed += o.failed
+	if r.firstEr == nil {
+		r.firstEr = o.firstEr
+	}
 }
 
 // closedLoop drives srv with loadGateClients goroutines, each sending
@@ -84,9 +99,9 @@ func closedLoop(srv *Server, specs []Spec, perClient int) loadResult {
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	return loadResult{
-		rps:     float64(loadGateClients*perClient) / elapsed.Seconds(),
+		sent:    loadGateClients * perClient,
+		elapsed: time.Since(start),
 		success: int(success.Load()),
 		badOp:   int(badOp.Load()),
 		failed:  int(failed.Load()),
@@ -94,33 +109,56 @@ func closedLoop(srv *Server, specs []Spec, perClient int) loadResult {
 	}
 }
 
-// runLoadArm runs one closed-loop arm on a fresh server built from cfg,
-// with the named example monoids registered under the default tenant,
-// and returns the tally and the server's stats after it drained.
-func runLoadArm(t *testing.T, cfg Config, ops []string, perClient int, examples ...string) (loadResult, Stats) {
+// loadArm is one closed-loop arm: a fresh server built from cfg, with
+// the named example monoids registered under the default tenant, and
+// the specs its requests round-robin across.
+type loadArm struct {
+	srv   *Server
+	ops   []string
+	specs []Spec
+}
+
+func newLoadArm(t *testing.T, cfg Config, ops []string, examples ...string) *loadArm {
 	t.Helper()
-	srv := New(cfg)
-	defer srv.Close()
+	a := &loadArm{srv: New(cfg), ops: ops}
+	t.Cleanup(a.srv.Close)
 	for _, name := range examples {
-		if _, err := srv.RegisterScanOp("", name, combine.Examples[name]); err != nil {
+		if _, err := a.srv.RegisterScanOp("", name, combine.Examples[name]); err != nil {
 			t.Fatalf("RegisterScanOp(%s): %v", name, err)
 		}
 	}
-	specs := make([]Spec, len(ops))
-	for i, op := range ops {
+	for _, op := range ops {
 		spec, err := ParseSpec(op, "exclusive", "forward")
 		if err != nil {
 			t.Fatalf("ParseSpec(%s): %v", op, err)
 		}
-		specs[i] = spec
+		a.specs = append(a.specs, spec)
 	}
-	res := closedLoop(srv, specs, perClient)
-	srv.Close() // the dispatch counters settle once the executors exit
-	if want := loadGateClients * perClient; res.success != want {
+	return a
+}
+
+// run drives the arm's server with perClient scans per client.
+func (a *loadArm) run(perClient int) loadResult { return closedLoop(a.srv, a.specs, perClient) }
+
+// finish closes the arm's server, checks that every request res
+// tallies succeeded, and returns the server's stats after it drained.
+func (a *loadArm) finish(t *testing.T, res loadResult) Stats {
+	t.Helper()
+	a.srv.Close() // the dispatch counters settle once the executors exit
+	if res.success != res.sent {
 		t.Errorf("%v: %d of %d requests succeeded (bad_op=%d failed=%d, first error: %v)",
-			ops, res.success, want, res.badOp, res.failed, res.firstEr)
+			a.ops, res.success, res.sent, res.badOp, res.failed, res.firstEr)
 	}
-	return res, srv.Stats()
+	return a.srv.Stats()
+}
+
+// runLoadArm runs one closed-loop arm start to finish and returns the
+// tally and the server's stats after it drained.
+func runLoadArm(t *testing.T, cfg Config, ops []string, perClient int, examples ...string) (loadResult, Stats) {
+	t.Helper()
+	a := newLoadArm(t, cfg, ops, examples...)
+	res := a.run(perClient)
+	return res, a.finish(t, res)
 }
 
 // TestNativeVsVMThroughput gates the combine VM's tax: the same load
@@ -137,15 +175,15 @@ func TestNativeVsVMThroughput(t *testing.T) {
 		t.Errorf("bad_op: native %d, user:add %d; want 0", native.badOp, vm.badOp)
 	}
 	t.Logf("native sum: %.0f req/s   user:add: %.0f req/s (%.2fx of native)   vm_dispatch{promoted=%d vector=%d scalar=%d}",
-		native.rps, vm.rps, vm.rps/native.rps, st.VMPromotedReqs, st.VMVectorReqs, st.VMScalarReqs)
+		native.rps(), vm.rps(), vm.rps()/native.rps(), st.VMPromotedReqs, st.VMVectorReqs, st.VMScalarReqs)
 	if raceEnabled {
 		return
 	}
-	if vm.rps*2 < native.rps {
-		t.Errorf("VM arm pays more than a 2x tax over native (%.0f vs %.0f req/s)", vm.rps, native.rps)
+	if vm.rps()*2 < native.rps() {
+		t.Errorf("VM arm pays more than a 2x tax over native (%.0f vs %.0f req/s)", vm.rps(), native.rps())
 	}
-	if vm.rps < 36000 {
-		t.Errorf("VM arm below the 36k req/s floor (%.0f req/s)", vm.rps)
+	if vm.rps() < 36000 {
+		t.Errorf("VM arm below the 36k req/s floor (%.0f req/s)", vm.rps())
 	}
 }
 
@@ -153,21 +191,30 @@ func TestNativeVsVMThroughput(t *testing.T) {
 // vectorizes (its saturation diamond lowers to selects) but is not
 // promotable, so its default dispatch times the engine itself: every
 // request must take the vector class, and the arm must beat the same
-// op forced through the scalar interpreter by at least 1.3x. A mixed
-// native+VM round-robin then has to finish with no request lost, with
-// batching and with every request its own batch.
+// op forced through the scalar interpreter by at least 1.3x. The two
+// arms' 2000 requests each run in five alternating slices with both
+// servers up, so load from elsewhere on the host lands on both alike. A
+// mixed native+VM round-robin then has to finish with no request lost,
+// with batching and with every request its own batch.
 func TestVectorDispatchThroughput(t *testing.T) {
-	vec, vst := runLoadArm(t, loadGateConfig, []string{"user:satadd"}, 250, "satadd")
+	scalarCfg := loadGateConfig
+	scalarCfg.scalarVM = true
+	vecArm := newLoadArm(t, loadGateConfig, []string{"user:satadd"}, "satadd")
+	scalArm := newLoadArm(t, scalarCfg, []string{"user:satadd"}, "satadd")
+	var vec, scal loadResult
+	for i := 0; i < 5; i++ {
+		vec.add(vecArm.run(50))
+		scal.add(scalArm.run(50))
+	}
+	vst := vecArm.finish(t, vec)
+	scalArm.finish(t, scal)
 	if vst.VMVectorReqs != 2000 || vst.VMPromotedReqs != 0 || vst.VMScalarReqs != 0 {
 		t.Errorf("satadd requests did not all take the vector dispatch class: vm_dispatch{promoted=%d vector=%d scalar=%d}",
 			vst.VMPromotedReqs, vst.VMVectorReqs, vst.VMScalarReqs)
 	}
-	scalarCfg := loadGateConfig
-	scalarCfg.scalarVM = true
-	scal, _ := runLoadArm(t, scalarCfg, []string{"user:satadd"}, 250, "satadd")
-	t.Logf("satadd vector: %.0f req/s   forced scalar: %.0f req/s (%.2fx)", vec.rps, scal.rps, vec.rps/scal.rps)
-	if !raceEnabled && vec.rps < 1.3*scal.rps {
-		t.Errorf("lane-blocked engine under 1.3x the scalar interpreter (%.0f vs %.0f req/s)", vec.rps, scal.rps)
+	t.Logf("satadd vector: %.0f req/s   forced scalar: %.0f req/s (%.2fx)", vec.rps(), scal.rps(), vec.rps()/scal.rps())
+	if !raceEnabled && vec.rps() < 1.3*scal.rps() {
+		t.Errorf("lane-blocked engine under 1.3x the scalar interpreter (%.0f vs %.0f req/s)", vec.rps(), scal.rps())
 	}
 
 	unfused := loadGateConfig

@@ -83,12 +83,6 @@ type NetConfig struct {
 	// Keeps abandoned sessions from pinning state on long-lived
 	// connections. Default 2 minutes; < 0 disables expiry.
 	StreamIdleTTL time.Duration
-	// XchgRoundTimeout bounds one round of the worker↔worker carry
-	// exchange (scan_xchg): how long a participant waits for its
-	// partner's carry message before declaring the exchange failed
-	// (typed xchg_failed; the coordinator falls back to the star data
-	// plane). Default 2s.
-	XchgRoundTimeout time.Duration
 	// Faults is the chaos hook for the connection-level points
 	// (fault.ConnDrop, fault.PartialWrite). Usually the same *fault.Set
 	// as Config.Faults. nil = chaos off.
@@ -108,9 +102,6 @@ func (c NetConfig) withDefaults() NetConfig {
 	}
 	if c.StreamIdleTTL == 0 {
 		c.StreamIdleTTL = 2 * time.Minute
-	}
-	if c.XchgRoundTimeout <= 0 {
-		c.XchgRoundTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -144,13 +135,6 @@ type NetServer struct {
 	fpPartial     *fault.Point
 	fpWireTrunc   *fault.Point
 	fpWireCorrupt *fault.Point
-	fpXchgDrop    *fault.Point
-	fpXchgSlow    *fault.Point
-
-	// xchg is the carry-exchange mailbox and peers the worker↔worker
-	// connection pool (exchange data plane; see exchange.go).
-	xchg  *exchangeTable
-	peers *peerPool
 
 	nconns atomic.Int64
 
@@ -198,10 +182,6 @@ func ListenBackend(addr string, be Backend, ncfg NetConfig) (*NetServer, error) 
 		fpPartial:     ncfg.Faults.Point(fault.PartialWrite),
 		fpWireTrunc:   ncfg.Faults.Point(fault.WireTruncate),
 		fpWireCorrupt: ncfg.Faults.Point(fault.WireCorruptLen),
-		fpXchgDrop:    ncfg.Faults.Point(fault.ClusterXchgDrop),
-		fpXchgSlow:    ncfg.Faults.Point(fault.ClusterXchgSlow),
-		xchg:          newExchangeTable(),
-		peers:         newPeerPool(ncfg.MaxLineBytes),
 		conns:         make(map[net.Conn]struct{}),
 		done:          make(chan struct{}),
 	}
@@ -238,7 +218,6 @@ func (ns *NetServer) Close() {
 		c.Close()
 	}
 	ns.mu.Unlock()
-	ns.peers.close()
 	<-ns.done
 	ns.be.Close()
 }
@@ -257,7 +236,6 @@ func (ns *NetServer) Kill() {
 		c.Close()
 	}
 	ns.mu.Unlock()
-	ns.peers.close()
 }
 
 // acceptLoop accepts until the listener closes, enforcing MaxConns: a
@@ -813,21 +791,6 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 		switch req.Type {
 		case "":
 			// One-shot scan: falls through to the submit path below.
-		case "scan_xchg":
-			// Exchange-mode piece: same admission as a one-shot (spec
-			// parse, response budget, in-flight cap), then run on a
-			// goroutine of its own below: it blocks on peer rounds.
-		case "carry_xchg":
-			// Peer carry message: deposit in the mailbox and ack inline —
-			// a control message, not admitted work. The send-then-await
-			// order of every participant plus this inline ack is what
-			// keeps the exchange deadlock-free.
-			releaseData(req.Data)
-			ns.xchg.deposit(
-				xchgKey{group: req.Group, rank: uint32(req.Rank), round: uint32(req.Round)},
-				xchgMsg{val: req.XVal, reset: req.XReset})
-			respond(WireResponse{ID: req.ID})
-			continue
 		case "stream_open":
 			releaseData(req.Data) // opens carry no payload
 			cs.open(req)
@@ -951,10 +914,6 @@ func (ns *NetServer) serveConn(conn net.Conn, codec connCodec) {
 		r := request{spec: spec, data: req.Data, tenant: reqTenant, deadline: deadline,
 			hook: answer, tag: wireTag{id: req.ID, float: isFloat}}
 		pending.Add(1)
-		if req.Type == "scan_xchg" {
-			go ns.runXchg(r, req)
-			continue
-		}
 		ns.admitScan(r, req.FData)
 	}
 }
@@ -1026,19 +985,6 @@ func (ns *NetServer) admitScan(r request, fdata []float64) {
 		// (DESIGN.md "Arena ownership").
 		r.resolve(res, err)
 	}()
-}
-
-// runXchg runs one admitted scan_xchg piece — on a goroutine of its
-// own, since it blocks on peer rounds — and resolves it.
-func (ns *NetServer) runXchg(r request, req WireRequest) {
-	if r.tag.float {
-		r.resolve(nil, fmt.Errorf("%w: scan_xchg carries int64 keys only (floats are re-keyed coordinator-side)", ErrBadRequest))
-		return
-	}
-	ctx, cancel := deadlineCtx(r.deadline)
-	res, err := ns.serveXchgPiece(ctx, r.spec, req, r.tenant)
-	cancel()
-	r.resolve(res, err)
 }
 
 // Client is a line-protocol client for NetServer / cmd/scansd. One
@@ -1424,23 +1370,6 @@ func (c *Client) sendBin(req WireRequest) error {
 	case "heartbeat":
 		frame = arena.GetBytes(binwire.HeartbeatFrameBytes(req.Addr))[:0]
 		frame = binwire.AppendHeartbeat(frame, req.ID, req.Addr, req.Weight, req.MaxLine, binProtoByte(req.WProto))
-	case "scan_xchg":
-		if name, ok := strings.CutPrefix(req.Op, "user:"); ok {
-			frame = arena.GetBytes(binwire.ScanXchgFrameBytes(req.Tenant, req.Peers, len(req.Data)) + binwire.UserOpBytes(name))[:0]
-			frame = binwire.AppendScanXchgUser(frame, req.ID,
-				binKindByte(req.Kind), binDirByte(req.Dir), name, req.OpHash,
-				req.TimeoutMS, req.Tenant, req.Group, req.Rank, req.Peers,
-				req.XHead, req.XSeed, req.Init, req.Data)
-			break
-		}
-		frame = arena.GetBytes(binwire.ScanXchgFrameBytes(req.Tenant, req.Peers, len(req.Data)))[:0]
-		frame = binwire.AppendScanXchg(frame, req.ID,
-			binOpByte(req.Op), binKindByte(req.Kind), binDirByte(req.Dir),
-			req.TimeoutMS, req.Tenant, req.Group, req.Rank, req.Peers,
-			req.XHead, req.XSeed, req.Init, req.Data)
-	case "carry_xchg":
-		frame = arena.GetBytes(binwire.CarryXchgFrameBytes())[:0]
-		frame = binwire.AppendCarryXchg(frame, req.ID, req.Group, req.Round, req.From, req.Rank, req.XVal, req.XReset)
 	case "register_op":
 		frame = arena.GetBytes(binwire.RegisterOpFrameBytes(req.Tenant, req.Name, req.Source))[:0]
 		frame = binwire.AppendRegisterOp(frame, req.ID, req.Tenant, req.Name, req.Source)
@@ -1514,9 +1443,10 @@ func (c *Client) readLines() error {
 		}
 		resp, err := unmarshalWireResponse(line)
 		if err != nil {
-			// A torn line (server died mid-write) is a connection
-			// failure, not a response; keep reading until EOF surfaces.
-			continue
+			// A torn or malformed line answers a round trip it can no
+			// longer be matched to: fail the connection, and with it
+			// every waiter, as readFrames does.
+			return fmt.Errorf("unparseable response line: %w", err)
 		}
 		c.dispatch(resp)
 	}

@@ -174,26 +174,6 @@ func wireFromBin(q binwire.Request) WireRequest {
 		req.Weight = q.Weight
 		req.WProto = binProtoString(q.WProto)
 		req.MaxLine = q.MaxLine
-	case binwire.FScanXchg:
-		req.Type = "scan_xchg"
-		req.Op = binOpWire(q)
-		req.OpHash = q.OpHash
-		req.Kind = binKindString(q.Kind)
-		req.Dir = binDirString(q.Dir)
-		req.Group = q.Group
-		req.Rank = q.Rank
-		req.Peers = q.Peers
-		req.XHead = q.XHead
-		req.XSeed = q.XSeeded
-		req.Init = q.Init
-	case binwire.FCarryXchg:
-		req.Type = "carry_xchg"
-		req.Group = q.Group
-		req.Round = q.Round
-		req.From = q.From
-		req.Rank = q.Rank
-		req.XVal = q.XVal
-		req.XReset = q.XReset
 	case binwire.FRegisterOp:
 		req.Type = "register_op"
 		req.Name = q.Name

@@ -105,14 +105,6 @@ var (
 	// scans as one-shot requests (or reverse client-side). Wraps
 	// ErrBadRequest: not retryable.
 	ErrStreamUnsupported = fmt.Errorf("%w: backward scans cannot stream (the carry depends on later chunks)", ErrBadRequest)
-	// ErrXchgFailed means an exchange-mode piece could not finish its
-	// worker↔worker carry exchange: a peer round timed out, a peer
-	// answered with an error, or the exchange was canceled because a
-	// sibling piece failed. The worker itself is alive (this is a typed
-	// answer, not a connection failure); the coordinator reacts by
-	// re-running the whole request on the star data plane, which has no
-	// peer dependencies.
-	ErrXchgFailed = errors.New("serve: exchange failed (a peer carry-exchange round did not complete)")
 	// ErrBadOp means a register_op submission was rejected: the program
 	// failed to parse, failed the monoid property tests (the error
 	// detail carries the counterexample), or the tenant is at its op
@@ -128,7 +120,7 @@ var (
 	// differs from the one the caller pinned (WireRequest.OpHash): the
 	// serving node holds a different program under that name. The
 	// cluster coordinator reacts by re-pushing its registration and
-	// retrying (star), or falling back to star from the exchange plane.
+	// retrying the piece.
 	ErrOpHash = errors.New("serve: combine op content hash mismatch")
 )
 
@@ -266,16 +258,6 @@ func (s Spec) OpString() string {
 // String returns e.g. "sum/exclusive/forward".
 func (s Spec) String() string {
 	return s.OpString() + "/" + s.Kind.String() + "/" + s.Dir.String()
-}
-
-// Bind returns a copy of the spec carrying a resolved registration, so
-// Backend implementations that already hold the Registered (cluster
-// workers serving exchange pieces, the coordinator's own folds) skip
-// the registry lookup at admission. Bind does not bypass verification:
-// admission still checks any pinned Hash against the binding.
-func (s Spec) Bind(r *combine.Registered) Spec {
-	s.reg = r
-	return s
 }
 
 // Binding returns the resolved registration of an admitted OpUser spec
@@ -736,23 +718,6 @@ func (s *Server) RegisterScanOp(tenant, name, source string) (uint64, error) {
 	return reg.Hash, nil
 }
 
-// ResolveScanOp binds a user-op spec to the tenant's live registration
-// so callers outside the batch path (the worker-side exchange plane)
-// can fold with the op's VM program. A pinned spec.Hash is verified
-// (ErrOpHash on mismatch) and zeroed in the returned spec; width-1 ops
-// only — the carries these callers fold are scalars. Builtin specs pass
-// through unchanged.
-func (s *Server) ResolveScanOp(spec Spec, tenant string) (Spec, error) {
-	if spec.Op != OpUser {
-		return spec, nil
-	}
-	r := request{spec: spec, tenant: tenant, seeded: true}
-	if err := s.resolveUserOp(&r); err != nil {
-		return Spec{}, err
-	}
-	return r.spec, nil
-}
-
 // scanReq is the synchronous path shared by SubmitCtx, Scan, and
 // Stream.Push: submit, wait inline, release the waiter ref so the
 // future recycles. The returned result buffer is arena-backed and
@@ -1063,27 +1028,42 @@ func CombineSpec(s Spec, fr *combine.Frame, a, b int64) (int64, error) {
 	return v, nil
 }
 
-// FoldSpec folds width-1 data from the spec's identity: a piece's block
-// sum, for the star plane's carry prescan and the exchange plane's
-// exscan. Builtin and promoted ops run a native loop, other user ops
-// combine's driver (Registered.Fold); VM errors are typed by vmErr.
-func FoldSpec(s Spec, data []int64) (int64, error) {
+// CarrySpec combines a seeded block's carry into every element of its
+// width-1 scan, in place: carry ⊗ dst[i] for forward scans, dst[i] ⊗
+// carry for backward ones (user monoids need not commute) — the last
+// step of the cluster's block-sum decomposition. Builtin and promoted
+// ops run a native loop, other user ops combine's driver
+// (Registered.Carry); VM errors are typed by vmErr.
+func CarrySpec(s Spec, dst []int64, carry int64, dir Dir) error {
 	op, native, err := nativeOp(s)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if native {
-		acc := Identity(op)
-		for _, v := range data {
-			acc = Combine(op, acc, v)
+	if !native {
+		if err := s.reg.Carry(combine.NewVecScratch(), dst, carry, dir == Backward); err != nil {
+			return vmErr(s, err)
 		}
-		return acc, nil
+		return nil
 	}
-	var out [1]int64
-	if err := s.reg.Fold(combine.NewVecScratch(), out[:], data); err != nil {
-		return 0, vmErr(s, err)
+	switch op {
+	case OpMax:
+		for i, v := range dst {
+			dst[i] = max(carry, v)
+		}
+	case OpMin:
+		for i, v := range dst {
+			dst[i] = min(carry, v)
+		}
+	case OpMul:
+		for i := range dst {
+			dst[i] *= carry
+		}
+	default:
+		for i := range dst {
+			dst[i] += carry
+		}
 	}
-	return out[0], nil
+	return nil
 }
 
 // nativeOp returns the builtin that folds s natively — its own op, or

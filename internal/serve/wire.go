@@ -554,9 +554,7 @@ func unmarshalWireResponse(line []byte) (WireResponse, error) {
 func appendWireRequest(dst []byte, req WireRequest) ([]byte, bool) {
 	if req.Name != "" || req.Source != "" || req.Elem != "" || len(req.FData) > 0 ||
 		req.Resume != "" || req.Seq != 0 || req.Addr != "" || req.Weight != 0 ||
-		req.WProto != "" || req.MaxLine != 0 || req.Group != 0 || req.Rank != 0 ||
-		len(req.Peers) > 0 || req.XHead || req.XSeed || req.Init != 0 ||
-		req.Round != 0 || req.From != 0 || req.XVal != 0 || req.XReset {
+		req.WProto != "" || req.MaxLine != 0 {
 		return dst, false
 	}
 	if !plainJSON(req.Type) || !plainJSON(req.Op) || !plainJSON(req.Kind) ||
@@ -690,26 +688,6 @@ type WireRequest struct {
 	Weight  float64 `json:"weight,omitempty"`
 	WProto  string  `json:"wproto,omitempty"`
 	MaxLine int     `json:"max_line,omitempty"`
-	// Exchange fields ("scan_xchg" / "carry_xchg" messages, the
-	// worker↔worker data plane of DESIGN.md's exchange protocol). Group
-	// names one carry exchange; Rank is the receiver's rank in it
-	// (scan_xchg: the piece's own rank; carry_xchg: the destination
-	// rank); Peers lists every rank's worker address in rank order.
-	// XHead marks a piece that opens with a segment head, XSeed tells
-	// the worker to apply the exchanged carry to its piece, Init seeds
-	// rank 0 (a stream chunk's running carry; the op identity
-	// otherwise). Round/From/XVal/XReset are one carry_xchg message: the
-	// sender's running (value, reset) pair for that exchange round.
-	Group  uint64   `json:"group,omitempty"`
-	Rank   int      `json:"rank,omitempty"`
-	Peers  []string `json:"peers,omitempty"`
-	XHead  bool     `json:"xhead,omitempty"`
-	XSeed  bool     `json:"xseed,omitempty"`
-	Init   int64    `json:"init,omitempty"`
-	Round  int      `json:"round,omitempty"`
-	From   int      `json:"from,omitempty"`
-	XVal   int64    `json:"xval,omitempty"`
-	XReset bool     `json:"xreset,omitempty"`
 }
 
 // WireResponse is one scan result (or error) on the wire.
@@ -791,12 +769,6 @@ const (
 	// this request failed; the coordinator survived. Retryable — the
 	// fleet may have healed by the next attempt.
 	CodeShardFailed = "shard_failed"
-	// CodeXchgFailed: an exchange-mode piece could not complete its
-	// worker↔worker carry exchange (a peer round timed out or a sibling
-	// piece failed). A typed answer — the worker is alive. The
-	// coordinator retries the request on the star data plane rather than
-	// retrying the piece.
-	CodeXchgFailed = "xchg_failed"
 	// CodeBadOp: a register_op submission was rejected (parse error,
 	// failed monoid property test — the message carries the
 	// counterexample — or tenant op cap). Not retryable.
@@ -831,8 +803,6 @@ func codeForError(err error) string {
 		return CodeOpHash
 	case errors.Is(err, ErrShardFailed):
 		return CodeShardFailed
-	case errors.Is(err, ErrXchgFailed):
-		return CodeXchgFailed
 	case errors.Is(err, ErrBadRequest):
 		return CodeBadRequest
 	case errors.Is(err, ErrOverloaded):
@@ -873,8 +843,6 @@ func errorForCode(code, msg string) error {
 		sentinel = ErrStreamUnsupported
 	case CodeShardFailed:
 		sentinel = ErrShardFailed
-	case CodeXchgFailed:
-		sentinel = ErrXchgFailed
 	case CodeBadOp:
 		sentinel = ErrBadOp
 	case CodeOpBudget:

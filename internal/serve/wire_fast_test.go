@@ -129,8 +129,6 @@ func TestAppendWireRequestGolden(t *testing.T) {
 		{"register", WireRequest{ID: 16, Type: "register_op", Name: "gcd", Source: "x"}, false},
 		{"heartbeat", WireRequest{ID: 17, Type: "heartbeat", Addr: "w:1", Weight: 1}, false},
 		{"resume", WireRequest{ID: 18, Type: "stream_resume", Resume: "tok", Seq: 2}, false},
-		{"xchg", WireRequest{ID: 19, Type: "scan_xchg", Op: "sum", Group: 1, Rank: 1, Peers: []string{"a", "b"}, Data: []int64{1}}, false},
-		{"carry", WireRequest{ID: 20, Type: "carry_xchg", Round: 1, From: 1, XVal: 5, XReset: true}, false},
 	}
 	for _, tc := range cases {
 		want, err := json.Marshal(tc.req)

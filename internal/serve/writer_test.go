@@ -813,3 +813,34 @@ func TestClientWriterBoundsNonReadingServer(t *testing.T) {
 		t.Fatalf("arena ledger does not close: %d gets != %d puts", gets, puts)
 	}
 }
+
+// TestClientBadResponseLineFailsRoundTrip: a reply line the JSON client
+// cannot parse fails the connection, and with it the round trip the
+// line answered, instead of leaving that round trip waiting forever on
+// a context with no deadline.
+func TestClientBadResponseLineFailsRoundTrip(t *testing.T) {
+	srv, conn := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, err := bufio.NewReader(srv).ReadBytes('\n'); err == nil {
+			srv.Write([]byte(`{"id":1,"result":0,1]}` + "\n"))
+		}
+	}()
+	c := newClient(conn, DefaultMaxLineBytes)
+	go c.w.run()
+	go c.readLoop()
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.ScanCtx(context.Background(), "sum", "", "", []int64{1, 2})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a malformed reply line answered the scan")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round trip still waiting 10 s after its reply line failed to parse")
+	}
+}

@@ -127,21 +127,11 @@ echo "== fuzz burst: FuzzAppendInt64sMatchesStrconv (10s)"
 # grow a buffer sized by that prediction.
 go test -fuzz='^FuzzAppendInt64sMatchesStrconv$' -fuzztime=10s -run '^$' ./internal/serve/
 
-echo "== fuzz burst: FuzzShardedScanMatchesSingleNode (10s)"
-go test -fuzz='^FuzzShardedScanMatchesSingleNode$' -fuzztime=10s -run '^$' ./internal/cluster/
-
-echo "== fuzz burst: FuzzExchangeMatchesStar (10s, -race)"
-# Data-plane parity: the same fuzzed scan through the exchange plane
-# (workers trade block sums among themselves) and the star plane
-# (coordinator pre-seeds) must be bit-identical — including iterations
-# where fault injection sabotages peer rounds and forces the fallback.
-go test -race -fuzz='^FuzzExchangeMatchesStar$' -fuzztime=10s -run '^$' ./internal/cluster/
-
-echo "== exchange peer-murder soak (-race)"
-# Kills a worker mid-exchange under drop-injected peer rounds and
-# requires every request to land (exchange success or star fallback)
-# with zero lost/corrupted results and a closed ledger.
-go test -race -count=1 -run '^TestExchangePeerMurderSoak$' ./internal/cluster/
+echo "== fuzz burst: FuzzShardedScanMatchesSingleNode (10s, -race)"
+# Sharded scans against the single-node reference under the race
+# detector: every piece is dispatched concurrently, copies its reply
+# into the shared output, and then takes its carry in a concurrent pass.
+go test -race -fuzz='^FuzzShardedScanMatchesSingleNode$' -fuzztime=10s -run '^$' ./internal/cluster/
 
 echo "== wire alloc-parity gate (no -race)"
 # The binary protocol's reason to exist is zero-parse payloads: if bin
@@ -156,12 +146,11 @@ echo "== failover gap gate"
 # served after the kill.
 go test -count=1 -run '^TestFailoverGapUnderStreamedLoad$' ./internal/cluster/
 
-echo "== exchange data-plane O(#workers) gate"
-# In exchange mode the coordinator must not fold carries element-by-
-# element: carry_prescan counts exactly the elements the coordinator
-# touched pre-seeding on the star plane, so a clean exchange run must
-# report 0 (and no fallbacks, which would re-run scans on star).
-go test -count=1 -run '^TestExchangeClosedLoopNoCarryWork$' ./internal/cluster/
+echo "== data-plane O(#pieces) carry-chain gate"
+# The coordinator must not fold any element ahead of dispatch: every
+# piece's block sum is read off its reply, so carry_prescan must read 0
+# under concurrent load whose scans all span both workers.
+go test -count=1 -run '^TestClusterClosedLoopNoCarryPrescan$' ./internal/cluster/
 
 echo "== native-vs-VM throughput gate (≤2x tax, ≥36k req/s)"
 # The same scan load once through the native sum kernel and once
